@@ -78,15 +78,26 @@ def _guard_cost_seconds(iterations: int = 2_000_000) -> float:
 
 def _guarded_sites_per_run(name: str, threads: int, calls: int, seed: int) -> int:
     """How many guarded sites one run executes, from the enabled run's own
-    counters: every count/observe/span call sits behind exactly one guard."""
+    counters.  Every count/observe/span call sits behind exactly one guard,
+    except the kernel's per-step events: ``Kernel.run`` chooses the observed
+    or the plain step once per run, so all three count as one site per run
+    (``span.kernel.run``)."""
     recorder = MetricsRecorder(max_events=0)
     result = run_program(
         name, num_threads=threads, calls_per_thread=calls, seed=seed,
         obs=recorder,
     )
     result.vyrd.check_offline()
+    counters = recorder.counters
+    kernel_step_events = sum(
+        value for name, value in counters.items()
+        if name in ("kernel.steps", "span.kernel.step")
+        or name.startswith("kernel.steps.t")
+    )
     return (
-        sum(recorder.counters.values())
+        sum(counters.values())
+        - kernel_step_events
+        + counters.get("span.kernel.run", 0)
         + sum(h.count for h in recorder.histograms.values())
     )
 

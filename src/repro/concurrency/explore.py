@@ -23,7 +23,7 @@ data structures, runs to completion, and returns an arbitrary outcome value
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Sequence
 
 from .schedulers import RandomScheduler, ReplayScheduler, Scheduler
 
@@ -154,12 +154,31 @@ def _program_metrics(program) -> Optional[dict]:
     return recorder.counters_snapshot()
 
 
+def _detached(exc: BaseException) -> BaseException:
+    """``exc`` with the traceback frames dropped along its cause/context chain.
+
+    A failed run's traceback frames hold its kernel, program and log, and
+    reach back to the run's record, so keeping them would pin every failed
+    run in a reference cycle only the cyclic GC frees.  Type and message
+    stay, as in the wire tuples of the ``jobs>1`` path.
+    """
+    stack, seen = [exc], set()
+    while stack:
+        link = stack.pop()
+        if link is None or id(link) in seen:
+            continue
+        seen.add(id(link))
+        link.__traceback__ = None
+        stack += (link.__cause__, link.__context__)
+    return exc
+
+
 class _AlwaysFirst(Scheduler):
     """Fallback for exhaustive DFS: always take alternative 0, so that the
     backtracking increment enumerates every subtree exactly once."""
 
-    def pick(self, runnable: List, step: int):
-        return min(runnable, key=lambda t: t.tid)
+    def pick(self, runnable: Sequence, step: int):
+        return runnable[0]  # lowest tid: the READY tuple is in tid order
 
 
 def explore_exhaustive(
@@ -194,7 +213,7 @@ def explore_exhaustive(
         try:
             record.outcome = program(scheduler)
         except Exception as exc:  # outcome of interest, not a crash of ours
-            record.error = exc
+            record.error = _detached(exc)
         result.runs.append(record)
         record.schedule = [index for index, _ in scheduler.trace]
         if record.failed and stop_on_failure:
@@ -244,7 +263,7 @@ def _explore_exhaustive_reduced(
         try:
             record.outcome = program(scheduler)
         except Exception as exc:
-            record.error = exc
+            record.error = _detached(exc)
         record.schedule = [index for index, _ in scheduler.trace]
         result.runs.append(record)
         if record.failed and stop_on_failure:
@@ -285,7 +304,7 @@ def explore_swarm(
         try:
             record.outcome = program(make(seed))
         except Exception as exc:
-            record.error = exc
+            record.error = _detached(exc)
         result.runs.append(record)
         if record.failed and stop_on_failure:
             break

@@ -41,9 +41,10 @@ Example
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..obs import NULL_RECORDER, Recorder
 from .errors import (
@@ -413,6 +414,10 @@ class Kernel:
         if self.obs.enabled:
             self.obs.bind_step_clock(lambda: self.steps)
         self.threads: List[SimThread] = []
+        # READY threads in tid order, or None after a status change (spawn,
+        # block, unblock, finish) until the loop rebuilds it
+        self._ready: Optional[Tuple[SimThread, ...]] = ()
+        self._pending = 0  # unfinished non-daemon threads
         self.steps = 0
         self._tid_counter = itertools.count(0)
         self._running = False
@@ -447,17 +452,14 @@ class Kernel:
         thread.gen = gen
         thread.priority = self.scheduler.initial_priority(thread)
         self.threads.append(thread)
+        self._ready = None
+        if not daemon:
+            self._pending += 1
         if self.current is not None:
             # dynamic spawn from a running simulated thread: the fork edge
             # is visible to tracers (race detection needs it)
             self.tracer.on_spawn(self.current.tid, tid)
         return thread
-
-    def _runnable(self) -> List[SimThread]:
-        return [t for t in self.threads if t.status is Status.READY]
-
-    def _app_threads_pending(self) -> bool:
-        return any(not t.daemon and not t.finished for t in self.threads)
 
     # -- main loop ----------------------------------------------------------
 
@@ -478,9 +480,19 @@ class Kernel:
         self._running = True
         obs = self.obs
         try:
+            # Constant bookkeeping per step: these are bound once per run,
+            # the READY tuple is rebuilt only after a status change, and the
+            # pending count replaces a scan for unfinished app threads.
+            step = self._observed_step if obs.enabled else self._step
+            pick = self.scheduler.pick
+            limit = self.max_steps if self.max_steps is not None else sys.maxsize
             with obs.span("kernel.run", cat="kernel"):
-                while self._app_threads_pending():
-                    runnable = self._runnable()
+                while self._pending:
+                    runnable = self._ready
+                    if runnable is None:  # ``threads`` is in tid order
+                        runnable = self._ready = tuple(
+                            t for t in self.threads if t.status is Status.READY
+                        )
                     if not runnable:
                         blocked = [
                             (t.name, t.waiting_reason or "?")
@@ -488,13 +500,9 @@ class Kernel:
                             if t.status is Status.BLOCKED and not t.daemon
                         ]
                         raise DeadlockError(blocked)
-                    if self.max_steps is not None and self.steps >= self.max_steps:
+                    if self.steps >= limit:
                         raise StepLimitExceeded(self.max_steps)
-                    thread = self.scheduler.pick(runnable, self.steps)
-                    if obs.enabled:
-                        self._observed_step(thread)
-                    else:
-                        self._step(thread)
+                    step(pick(runnable, self.steps))
                 self._shutdown_daemons()
         finally:
             self._running = False
@@ -513,6 +521,7 @@ class Kernel:
         """Throw :class:`KernelStopped` into still-live daemon threads."""
         for t in self.threads:
             if t.daemon and not t.finished:
+                self._ready = None
                 try:
                     t.gen.throw(KernelStopped())
                 except (StopIteration, KernelStopped):
@@ -544,7 +553,10 @@ class Kernel:
         finally:
             self.current = None
         try:
-            self._handle(thread, syscall)
+            handler = _HANDLERS.get(type(syscall))
+            if handler is None:
+                handler = _subclass_handler(thread, syscall)
+            handler(self, thread, syscall)
         except SimThreadError:
             raise
         except Exception as exc:
@@ -559,96 +571,126 @@ class Kernel:
         thread.status = status
         thread.result = result
         thread.exception = exception
+        self._ready = None
+        if not thread.daemon:
+            self._pending -= 1
         for joiner in thread.joiners:
-            joiner.status = Status.READY
-            joiner.send_value = result
-            joiner.waiting_reason = None
+            self.unblock(joiner, result)
             self.tracer.on_join(joiner.tid, thread.tid)
         thread.joiners.clear()
 
-    # -- syscall dispatch ---------------------------------------------------
+    # -- syscall handlers (dispatched by type through ``_HANDLERS``) ---------
 
-    def _handle(self, thread: SimThread, syscall) -> None:
-        if isinstance(syscall, Pass):
-            return
-        if isinstance(syscall, ReadSys):
-            thread.send_value = syscall.cell._value
-            self.tracer.on_read(thread.tid, syscall.cell)
-            return
-        if isinstance(syscall, WriteSys):
-            cell = syscall.cell
-            old = cell._value
-            cell._value = syscall.value
-            self.tracer.on_write(thread.tid, cell, old, syscall.value)
-            if syscall.commit:
-                self.tracer.on_commit(thread.tid)
-            return
-        if isinstance(syscall, AcquireSys):
-            syscall.lock._acquire(self, thread)
-            return
-        if isinstance(syscall, ReleaseSys):
-            syscall.lock._release(self, thread)
-            if syscall.commit:
-                self.tracer.on_commit(thread.tid)
-            return
-        if isinstance(syscall, RWBeginReadSys):
-            syscall.rwlock._begin_read(self, thread)
-            return
-        if isinstance(syscall, RWEndReadSys):
-            syscall.rwlock._end_read(self, thread)
-            return
-        if isinstance(syscall, RWBeginWriteSys):
-            syscall.rwlock._begin_write(self, thread)
-            return
-        if isinstance(syscall, RWEndWriteSys):
-            syscall.rwlock._end_write(self, thread)
-            if syscall.commit:
-                self.tracer.on_commit(thread.tid)
-            return
-        if isinstance(syscall, CommitSys):
+    def _sys_pass(self, thread: SimThread, syscall: Pass) -> None:
+        pass
+
+    def _sys_read(self, thread: SimThread, syscall: ReadSys) -> None:
+        thread.send_value = syscall.cell._value
+        self.tracer.on_read(thread.tid, syscall.cell)
+
+    def _sys_write(self, thread: SimThread, syscall: WriteSys) -> None:
+        cell = syscall.cell
+        old = cell._value
+        cell._value = syscall.value
+        self.tracer.on_write(thread.tid, cell, old, syscall.value)
+        if syscall.commit:
             self.tracer.on_commit(thread.tid)
-            return
-        if isinstance(syscall, BeginCommitBlockSys):
-            self.tracer.on_begin_commit_block(thread.tid)
-            return
-        if isinstance(syscall, EndCommitBlockSys):
-            self.tracer.on_end_commit_block(thread.tid)
-            if syscall.commit:
-                self.tracer.on_commit(thread.tid)
-            return
-        if isinstance(syscall, ReplaySys):
-            self.tracer.on_replay(thread.tid, syscall.tag, syscall.payload)
-            if syscall.commit:
-                self.tracer.on_commit(thread.tid)
-            return
-        if isinstance(syscall, JoinSys):
-            target = syscall.thread
-            if target.finished:
-                thread.send_value = target.result
-                self.tracer.on_join(thread.tid, target.tid)
-            else:
-                thread.status = Status.BLOCKED
-                thread.waiting_reason = f"join({target.name})"
-                target.joiners.append(thread)
-            return
-        if isinstance(syscall, CondWaitSys):
-            syscall.cond._wait(self, thread)
-            return
-        if isinstance(syscall, CondNotifySys):
-            syscall.cond._notify(self, thread, syscall.count)
-            return
-        raise TypeError(f"thread {thread.name!r} yielded a non-syscall: {syscall!r}")
+
+    def _sys_acquire(self, thread: SimThread, syscall: AcquireSys) -> None:
+        syscall.lock._acquire(self, thread)
+
+    def _sys_release(self, thread: SimThread, syscall: ReleaseSys) -> None:
+        syscall.lock._release(self, thread)
+        if syscall.commit:
+            self.tracer.on_commit(thread.tid)
+
+    def _sys_begin_read(self, thread: SimThread, syscall: RWBeginReadSys) -> None:
+        syscall.rwlock._begin_read(self, thread)
+
+    def _sys_end_read(self, thread: SimThread, syscall: RWEndReadSys) -> None:
+        syscall.rwlock._end_read(self, thread)
+
+    def _sys_begin_write(self, thread: SimThread, syscall: RWBeginWriteSys) -> None:
+        syscall.rwlock._begin_write(self, thread)
+
+    def _sys_end_write(self, thread: SimThread, syscall: RWEndWriteSys) -> None:
+        syscall.rwlock._end_write(self, thread)
+        if syscall.commit:
+            self.tracer.on_commit(thread.tid)
+
+    def _sys_commit(self, thread: SimThread, syscall: CommitSys) -> None:
+        self.tracer.on_commit(thread.tid)
+
+    def _sys_begin_block(self, thread: SimThread, syscall: BeginCommitBlockSys) -> None:
+        self.tracer.on_begin_commit_block(thread.tid)
+
+    def _sys_end_block(self, thread: SimThread, syscall: EndCommitBlockSys) -> None:
+        self.tracer.on_end_commit_block(thread.tid)
+        if syscall.commit:
+            self.tracer.on_commit(thread.tid)
+
+    def _sys_replay(self, thread: SimThread, syscall: ReplaySys) -> None:
+        self.tracer.on_replay(thread.tid, syscall.tag, syscall.payload)
+        if syscall.commit:
+            self.tracer.on_commit(thread.tid)
+
+    def _sys_join(self, thread: SimThread, syscall: JoinSys) -> None:
+        target = syscall.thread
+        if target.finished:
+            thread.send_value = target.result
+            self.tracer.on_join(thread.tid, target.tid)
+        else:
+            self.block(thread, f"join({target.name})")
+            target.joiners.append(thread)
+
+    def _sys_cond_wait(self, thread: SimThread, syscall: CondWaitSys) -> None:
+        syscall.cond._wait(self, thread)
+
+    def _sys_cond_notify(self, thread: SimThread, syscall: CondNotifySys) -> None:
+        syscall.cond._notify(self, thread, syscall.count)
 
     # -- helpers used by primitives ------------------------------------------
 
     def block(self, thread: SimThread, reason: str) -> None:
         thread.status = Status.BLOCKED
         thread.waiting_reason = reason
+        self._ready = None
 
     def unblock(self, thread: SimThread, send_value=None) -> None:
         thread.status = Status.READY
         thread.send_value = send_value
         thread.waiting_reason = None
+        self._ready = None
+
+
+#: Syscall type -> handler, in the order a subclass is matched against.
+_HANDLERS: Dict[type, Callable[[Kernel, SimThread, Any], None]] = {
+    Pass: Kernel._sys_pass,
+    ReadSys: Kernel._sys_read,
+    WriteSys: Kernel._sys_write,
+    AcquireSys: Kernel._sys_acquire,
+    ReleaseSys: Kernel._sys_release,
+    RWBeginReadSys: Kernel._sys_begin_read,
+    RWEndReadSys: Kernel._sys_end_read,
+    RWBeginWriteSys: Kernel._sys_begin_write,
+    RWEndWriteSys: Kernel._sys_end_write,
+    CommitSys: Kernel._sys_commit,
+    BeginCommitBlockSys: Kernel._sys_begin_block,
+    EndCommitBlockSys: Kernel._sys_end_block,
+    ReplaySys: Kernel._sys_replay,
+    JoinSys: Kernel._sys_join,
+    CondWaitSys: Kernel._sys_cond_wait,
+    CondNotifySys: Kernel._sys_cond_notify,
+}
+
+
+def _subclass_handler(thread: SimThread, syscall) -> Callable:
+    """Handler for a subclass of a syscall type (the first ``isinstance``
+    match in table order); non-syscalls are a :class:`TypeError`."""
+    for cls, handler in _HANDLERS.items():
+        if isinstance(syscall, cls):
+            return handler
+    raise TypeError(f"thread {thread.name!r} yielded a non-syscall: {syscall!r}")
 
 
 def run_threads(

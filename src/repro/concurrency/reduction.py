@@ -52,7 +52,7 @@ cover the identical schedule set.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .kernel import (
     AcquireSys,
@@ -254,13 +254,12 @@ class ReducedReplayScheduler(Scheduler):
 
     # -- scheduling ---------------------------------------------------------
 
-    def pick(self, runnable: List, step: int):
-        ordered = sorted(runnable, key=lambda t: t.tid)
+    def pick(self, runnable: Sequence, step: int):
         depth = len(self.trace)
         if self._cursor < len(self.decisions):
             index = self.decisions[self._cursor]
-            if index >= len(ordered):
-                index = len(ordered) - 1
+            if index >= len(runnable):
+                index = len(runnable) - 1
             self._cursor += 1
         else:
             if not self._armed:
@@ -272,7 +271,7 @@ class ReducedReplayScheduler(Scheduler):
             index = next(
                 (
                     j
-                    for j, t in enumerate(ordered)
+                    for j, t in enumerate(runnable)
                     if t.tid not in self._sleep
                 ),
                 None,
@@ -280,17 +279,17 @@ class ReducedReplayScheduler(Scheduler):
             if index is None:
                 self.sleep_blocked += 1
                 index = 0
-                self._sleep.pop(ordered[0].tid, None)
+                self._sleep.pop(runnable[0].tid, None)
             self.nodes.append(
                 (
                     depth,
-                    tuple(t.tid for t in ordered),
+                    tuple(t.tid for t in runnable),
                     dict(self._sleep),
                     index,
                 )
             )
-        self.trace.append((index, len(ordered)))
-        return ordered[index]
+        self.trace.append((index, len(runnable)))
+        return runnable[index]
 
     def on_step(self, thread, syscall) -> None:
         """Kernel hook: one executed step, atomically after its effect."""

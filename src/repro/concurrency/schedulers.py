@@ -26,9 +26,14 @@ from typing import List, Optional, Sequence
 
 
 class Scheduler:
-    """Interface: pick the next thread among ``runnable`` (never empty)."""
+    """Interface: pick the next thread among ``runnable`` (never empty).
 
-    def pick(self, runnable: List, step: int):
+    ``runnable`` is the kernel's tuple of READY threads in tid order.  The
+    kernel reuses it until a thread's status changes, so a scheduler must
+    neither keep it nor rely on it being a fresh object.
+    """
+
+    def pick(self, runnable: Sequence, step: int):
         raise NotImplementedError
 
     def initial_priority(self, thread) -> int:
@@ -42,8 +47,7 @@ class RoundRobinScheduler(Scheduler):
     def __init__(self):
         self._last_tid = -1
 
-    def pick(self, runnable: List, step: int):
-        runnable = sorted(runnable, key=lambda t: t.tid)
+    def pick(self, runnable: Sequence, step: int):
         for thread in runnable:
             if thread.tid > self._last_tid:
                 self._last_tid = thread.tid
@@ -64,8 +68,17 @@ class RandomScheduler(Scheduler):
         self.seed = seed
         self._rng = random.Random(seed)
 
-    def pick(self, runnable: List, step: int):
-        return self._rng.choice(runnable)
+    def pick(self, runnable: Sequence, step: int):
+        # ``Random.choice``'s own draw (rejection sampling on
+        # ``getrandbits(n.bit_length())``) without its two Python frames:
+        # the same PRNG stream, so the same schedule for every seed
+        getrandbits = self._rng.getrandbits
+        n = len(runnable)
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return runnable[r]
 
 
 class PCTScheduler(Scheduler):
@@ -103,7 +116,7 @@ class PCTScheduler(Scheduler):
             return self.DAEMON_FLOOR - thread.tid
         return self._rng.randrange(1_000_000)
 
-    def pick(self, runnable: List, step: int):
+    def pick(self, runnable: Sequence, step: int):
         chosen = max(runnable, key=lambda t: (t.priority, -t.tid))
         if step in self._change_points:
             chosen.priority = self._next_low_priority
@@ -116,7 +129,7 @@ class ReplayScheduler(Scheduler):
     """Follow a recorded decision vector, then fall back to a default policy.
 
     At step ``i`` the scheduler picks ``runnable[decisions[i]]`` (indices into
-    the runnable list sorted by tid).  Once the vector is exhausted it
+    the runnable tuple, which is in tid order).  Once the vector is exhausted it
     delegates to ``fallback`` (round-robin by default).  Every decision made
     -- scripted or fallback -- is appended to :attr:`trace` together with the
     number of alternatives, which is what the exhaustive explorer consumes.
@@ -128,16 +141,15 @@ class ReplayScheduler(Scheduler):
         self.trace: List[tuple] = []  # (chosen_index, num_choices)
         self._cursor = 0
 
-    def pick(self, runnable: List, step: int):
-        ordered = sorted(runnable, key=lambda t: t.tid)
+    def pick(self, runnable: Sequence, step: int):
         if self._cursor < len(self.decisions):
             index = self.decisions[self._cursor]
-            if index >= len(ordered):
-                index = len(ordered) - 1
+            if index >= len(runnable):
+                index = len(runnable) - 1
             self._cursor += 1
-            chosen = ordered[index]
+            chosen = runnable[index]
         else:
-            chosen = self.fallback.pick(ordered, step)
-            index = ordered.index(chosen)
-        self.trace.append((index, len(ordered)))
+            chosen = self.fallback.pick(runnable, step)
+            index = runnable.index(chosen)
+        self.trace.append((index, len(runnable)))
         return chosen

@@ -37,6 +37,8 @@ log is a faithful snapshot.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
+from operator import attrgetter
 from typing import Any, Optional, Tuple
 
 
@@ -48,7 +50,15 @@ class Action:
     def __reduce__(self):
         # frozen dataclasses with manual __slots__ need explicit pickle
         # support (LogWriter serializes records with pickle)
-        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
+        cls = type(self)
+        return (cls, _field_values(cls)(self))
+
+
+@lru_cache(maxsize=None)
+def _field_values(cls: type) -> attrgetter:
+    """The getter of ``cls``'s field values, in declaration order.  Every
+    record has at least ``tid`` and ``op_id``, so it returns a tuple."""
+    return attrgetter(*(f.name for f in fields(cls)))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ open commit block are captured in the same undo maps via a recording proxy.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 class _AbsentType:
     """Picklable singleton distinguishing "never written" from "written None".
@@ -103,11 +103,29 @@ class EffectiveState(Mapping):
         """Number of locations the t-tilde rollback overlay shadows."""
         return len(self._overlay)
 
-    def items_with_prefix(self, prefix: str) -> Iterator[Tuple[str, Any]]:
-        """All ``(loc, value)`` pairs whose name starts with ``prefix``."""
-        for loc in self:
+    def items_with_prefix(self, prefix: str) -> List[Tuple[str, Any]]:
+        """All ``(loc, value)`` pairs whose name starts with ``prefix``, in
+        iteration order.
+
+        View functions scan regions of the namespace at every commit, so
+        this walks the base dict directly and consults the overlay only
+        when a commit block is open.
+        """
+        base, overlay = self._base, self._overlay
+        if not overlay:
+            return [item for item in base.items() if item[0].startswith(prefix)]
+        items = []
+        for loc, value in base.items():
             if loc.startswith(prefix):
-                yield loc, self[loc]
+                if loc in overlay:
+                    value = overlay[loc]
+                    if value is ABSENT:
+                        continue
+                items.append((loc, value))
+        for loc, value in overlay.items():
+            if value is not ABSENT and loc not in base and loc.startswith(prefix):
+                items.append((loc, value))
+        return items
 
 
 class _RecordingState(dict):

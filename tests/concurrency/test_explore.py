@@ -1,11 +1,15 @@
 """Schedule exploration: exhaustive enumeration and swarm testing."""
 
+import gc
+
 from repro.concurrency import (
     Kernel,
+    Lock,
     SharedCell,
     explore_exhaustive,
     explore_swarm,
 )
+from repro.harness import explore_program
 
 
 def _racy_program(scheduler):
@@ -117,3 +121,55 @@ def test_swarm_records_requested_and_skipped_counts():
     assert payload["skipped"] == partial.skipped
     assert payload["num_failures"] == 1
     assert payload["failures"][0]["error_type"] == "RuntimeError"
+
+
+def _cyclic_program_garbage(campaign):
+    """Run ``campaign``, drop its result, and count the program objects
+    (``SharedCell``s and ``Lock``s) the cyclic collector had to free.
+
+    Returns the campaign's ``(failures, distinct violations)`` and that
+    count.  ``DEBUG_SAVEALL`` keeps everything the collector finds
+    unreachable in ``gc.garbage`` instead of freeing it.
+    """
+    gc.collect()
+    saved, flags = len(gc.garbage), gc.get_debug()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        result = campaign()
+        failures = result.failures
+        summary = (
+            len(failures),
+            len({(type(r.error).__name__, str(r.error)) for r in failures}),
+        )
+        del result, failures
+        gc.collect()
+        leaked = sum(
+            isinstance(obj, (SharedCell, Lock)) for obj in gc.garbage[saved:]
+        )
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[saved:]
+    return summary, leaked
+
+
+def test_failed_runs_do_not_pin_their_program_in_cycles():
+    """A recorded failure keeps its type and message but no traceback
+    frames, which would hold the run's kernel, program and log and reach
+    back to the record: a reference cycle per failed run."""
+    (failures, violations), leaked = _cyclic_program_garbage(
+        lambda: explore_program(
+            "multiset-vector", mode="exhaustive", reduce="static", buggy=True,
+            num_threads=2, calls_per_thread=1, workload_seed=16,
+            daemons=False, jobs=1,
+        )
+    )
+    assert violations == 6 and failures >= violations
+    assert leaked == 0
+    (failures, _), leaked = _cyclic_program_garbage(
+        lambda: explore_program(
+            "blinktree", buggy=True, stop_on_failure=True, num_runs=100_000,
+            num_threads=3, calls_per_thread=6, jobs=1,
+        )
+    )
+    assert failures >= 1
+    assert leaked == 0

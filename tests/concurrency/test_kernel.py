@@ -1,5 +1,9 @@
 """Kernel semantics: spawning, scheduling, atomicity, daemons, failures."""
 
+import hashlib
+import json
+import random
+
 import pytest
 
 from repro.concurrency import (
@@ -7,6 +11,7 @@ from repro.concurrency import (
     Kernel,
     KernelStopped,
     Lock,
+    RandomScheduler,
     RoundRobinScheduler,
     SharedCell,
     SimThreadError,
@@ -14,6 +19,8 @@ from repro.concurrency import (
     StepLimitExceeded,
     run_threads,
 )
+from repro.concurrency.kernel import ReadSys
+from repro.harness import run_program
 
 
 def test_single_thread_runs_to_completion():
@@ -204,6 +211,7 @@ def test_step_limit():
     kernel.spawn(spinner)
     with pytest.raises(StepLimitExceeded):
         kernel.run()
+    assert kernel.steps == 100
 
 
 def test_non_syscall_yield_is_rejected():
@@ -240,3 +248,117 @@ def test_kernel_can_run_again_after_completion():
     kernel.spawn(body)
     kernel.run()
     assert cell.peek() == 2
+
+
+def test_syscall_subclass_dispatches_like_its_base():
+    class TaggedRead(ReadSys):
+        __slots__ = ()
+
+    cell = SharedCell("c", 5)
+    seen = []
+
+    def body(ctx):
+        seen.append((yield TaggedRead(cell)))
+
+    run_threads([body])
+    assert seen == [5]
+
+
+def test_scheduler_sees_only_ready_threads_in_tid_order():
+    """The runnable tuple is cached between status changes; every pick must
+    still see exactly the READY threads, in tid order."""
+    lock = Lock("l")
+    checked = []
+
+    class Checking(RandomScheduler):
+        def pick(self, runnable, step):
+            assert isinstance(runnable, tuple)
+            assert list(runnable) == [
+                t for t in kernel.threads if t.status is Status.READY
+            ]
+            checked.append(step)
+            return super().pick(runnable, step)
+
+    def child(ctx):
+        yield ctx.checkpoint()
+        return ctx.tid
+
+    def body(ctx):
+        for _ in range(3):
+            yield lock.acquire()
+            yield ctx.checkpoint()
+            yield lock.release()
+        thread = ctx.spawn(child)
+        yield ctx.join(thread)
+
+    kernel = Kernel(scheduler=Checking(5))
+    for _ in range(3):
+        kernel.spawn(body)
+    kernel.run()
+    assert len(checked) == kernel.steps
+
+
+def test_app_thread_spawned_by_daemon_keeps_the_kernel_running():
+    done = []
+
+    def worker(ctx):
+        for _ in range(3):
+            yield ctx.checkpoint()
+        done.append(ctx.tid)
+
+    def daemon(ctx):
+        ctx.spawn(worker)
+        while True:
+            yield ctx.checkpoint()
+
+    def app(ctx):
+        yield ctx.checkpoint()
+
+    kernel = Kernel(scheduler=RoundRobinScheduler())
+    kernel.spawn(app)
+    kernel.spawn(daemon, daemon=True)
+    kernel.run()
+    assert done == [2]
+
+
+def test_random_scheduler_draws_like_random_choice():
+    """``RandomScheduler.pick`` inlines ``Random.choice``: same PRNG stream,
+    same picks, for every runnable-tuple length the kernel can hand it."""
+    for seed in (0, 1, 2024):
+        scheduler = RandomScheduler(seed)
+        reference = random.Random(seed)
+        for draw in range(10_000):
+            runnable = tuple(range(1 + draw % 12))
+            assert scheduler.pick(runnable, draw) == reference.choice(runnable)
+
+
+#: (program, seed) -> (SHA-256 of the JSON list of (record type, tid, op_id)
+#: over the log, kernel.steps) for a 3-thread x 8-call run, as recorded
+#: before the kernel's scheduling loop was rewritten.  No pickle bytes are
+#: involved, so the values hold on every Python version.
+GOLDEN_SCHEDULES = {
+    ("multiset-vector", 0): (
+        "9863eb30170b1cf351d959b80dea6ac15c9bbb06e1a37d7f07b9f6fcb1fe127b", 3082),
+    ("multiset-vector", 1): (
+        "151e1424a0e82edfb350d352da439d1ca24deff96794744e3646b0b29b833145", 3040),
+    ("blinktree", 0): (
+        "81dba4fd5a30786ca22258445496f34e68ae48db5cf62eeb18dd7ceca260c295", 249),
+    ("blinktree", 1): (
+        "cfc418bbeeb6f4f76fb54aa58d4ee89b880a5b0ba96420952b32d1174eaa69dd", 226),
+    ("cache", 0): (
+        "d0a92599830ede2b47f5081ba6e3563a7d7b10c851066e1cb61091570f2b5473", 513),
+    ("cache", 1): (
+        "f31a39e04577d34f411015804230a8ea1324ee1b4486fccc292dda4ea06bac6a", 481),
+    ("bounded-queue", 0): (
+        "5320f5cbead84aa0bc0b6ebc4da8cc401c131ae782e3dbe1e527bf908f62b7ad", 184),
+    ("bounded-queue", 1): (
+        "b24346d3ed7a039108d0ccdf70c38f56ee4a79e494158652e8dc773ac6a7e0ef", 166),
+}
+
+
+@pytest.mark.parametrize("program,seed", sorted(GOLDEN_SCHEDULES))
+def test_schedules_match_golden(program, seed):
+    result = run_program(program, num_threads=3, calls_per_thread=8, seed=seed)
+    triples = [(type(a).__name__, a.tid, a.op_id) for a in result.log]
+    digest = hashlib.sha256(json.dumps(triples).encode()).hexdigest()
+    assert (digest, result.kernel.steps) == GOLDEN_SCHEDULES[(program, seed)]

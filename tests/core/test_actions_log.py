@@ -3,9 +3,11 @@
 import io
 import pickle
 import time
+from dataclasses import fields
 
 from repro.core import (
     AcquireAction,
+    Action,
     BeginCommitBlockAction,
     CallAction,
     CommitAction,
@@ -17,6 +19,7 @@ from repro.core import (
     LogWriter,
     ReadAction,
     ReleaseAction,
+    ReplayAction,
     ReturnAction,
     Signature,
     SpawnAction,
@@ -204,6 +207,33 @@ def test_reader_loads_legacy_per_record_dumps(tmp_path):
         for action in log:
             pickle.dump(action, handle, protocol=pickle.HIGHEST_PROTOCOL)
     assert list(load_log(path)) == list(log)
+
+
+def test_reduce_is_type_and_field_values_for_every_action():
+    """``Action.__reduce__`` caches one field getter per class; what it
+    returns (and so every pickle, log byte and signature) is unchanged."""
+    instances = [
+        CallAction(0, 1, "insert", (3, "x")),
+        ReturnAction(0, 1, "insert", "success"),
+        CommitAction(1, None),
+        WriteAction(0, 1, "A[0].elt", None, 3),
+        BeginCommitBlockAction(0, 1),
+        EndCommitBlockAction(0, 1),
+        ReplayAction(2, 4, "tag", ("payload", 1)),
+        ReadAction(0, None, "A[1].valid"),
+        AcquireAction(0, 1, "lock"),  # defaulted mode
+        AcquireAction(0, 1, "rw", "r"),
+        ReleaseAction(0, 1, "lock"),  # defaulted mode
+        ReleaseAction(0, 1, "rw", "w"),
+        SpawnAction(0, None, 3),
+        JoinAction(0, None, 3),
+    ]
+    assert {type(a) for a in instances} == set(Action.__subclasses__())
+    for _ in range(2):  # the first call builds the getter, the second reuses it
+        for action in instances:
+            expected = tuple(getattr(action, f.name) for f in fields(action))
+            assert action.__reduce__() == (type(action), expected)
+            assert pickle.loads(pickle.dumps(action)) == action
 
 
 def test_interleaved_write_and_write_all_round_trip(tmp_path):

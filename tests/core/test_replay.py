@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ReplayState
+from repro.core import ABSENT, EffectiveState, ReplayState
 
 
 def test_writes_build_state():
@@ -179,3 +179,21 @@ def test_register_replay_after_construction():
     state.register_replay("touch", lambda target, payload: target.__setitem__("t", payload))
     state.apply_replay(0, "touch", 5)
     assert state.get("t") == 5
+
+
+@pytest.mark.parametrize(
+    "overlay",
+    [
+        {},  # no open commit block: the base dict alone
+        {"m[1]": "old", "m[3]": "older"},  # shadows base keys
+        {"m[2]": ABSENT, "x": ABSENT},  # rolls writes back to never-written
+        {"m[9]": "gone-now", "n[0]": 5},  # overlay-only keys
+        {"m[0]": ABSENT, "m[1]": "old", "m[7]": "new", "y": 0},
+    ],
+)
+@pytest.mark.parametrize("prefix", ["m[", "m", "x", "n[", "", "zz"])
+def test_items_with_prefix_matches_mapping_scan(overlay, prefix):
+    base = {"m[0]": 0, "x": "x0", "m[1]": 1, "m[2]": 2, "n[0]": 0, "m[3]": 3}
+    state = EffectiveState(base, overlay)
+    expected = [(k, state[k]) for k in state if k.startswith(prefix)]
+    assert list(state.items_with_prefix(prefix)) == expected
