@@ -1,6 +1,6 @@
 """Parallel exploration scaling: runs/sec and speedup vs. worker count.
 
-Sweeps ``parallel_swarm`` over a jobs grid (default 1, 2, 4, 8) on one
+Sweeps ``explore_swarm`` over a jobs grid (default 1, 2, 4, 8) on one
 workload-registry program and writes a machine-readable
 ``BENCH_parallel_scaling.json`` at the repo root: per-job-count wall-clock,
 runs/sec, speedup vs. the serial (jobs=1) baseline, and a campaign-signature
@@ -8,7 +8,7 @@ equality check proving every parallel sweep produced outcomes identical to
 serial.  The recorded ``cpu_count`` contextualizes the speedup column --
 on a single-CPU host the engine cannot beat serial no matter how it shards.
 
-``--mode exhaustive [--reduce static]`` sweeps ``parallel_exhaustive``
+``--mode exhaustive [--reduce static]`` sweeps ``explore_exhaustive``
 instead, optionally with the static sleep-set reducer
 (:mod:`repro.concurrency.reduction`) -- the signature-equality gate then
 also proves the *reduced* frontier shards coordination-free without
@@ -33,7 +33,7 @@ import json
 import os
 import time
 
-from repro.concurrency.parallel import parallel_exhaustive, parallel_swarm
+from repro.concurrency import explore_exhaustive, explore_swarm
 from repro.harness import ProgramSpec
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -70,11 +70,11 @@ def run_sweep(
     for jobs in jobs_list:
         start = time.perf_counter()
         if mode == "exhaustive":
-            result = parallel_exhaustive(
+            result = explore_exhaustive(
                 spec, max_runs=runs, jobs=jobs, reducer=reducer
             )
         else:
-            result = parallel_swarm(spec, num_runs=runs, jobs=jobs)
+            result = explore_swarm(spec, num_runs=runs, jobs=jobs)
         seconds = time.perf_counter() - start
         signature = result.signature()
         if serial_signature is None:

@@ -35,7 +35,7 @@ import json
 import os
 import time
 
-from repro.concurrency.parallel import parallel_exhaustive
+from repro.concurrency import explore_exhaustive
 from repro.concurrency.reduction import StaticReducer
 from repro.harness import ProgramSpec
 from repro.lint.effects import analyze_program
@@ -75,10 +75,10 @@ def run_case(program, buggy, threads, calls, workload_seed, *,
         workload_seed=workload_seed, daemons=False, fingerprint=True,
     )
     start = time.perf_counter()
-    base = parallel_exhaustive(spec, max_runs=max_runs, jobs=jobs)
+    base = explore_exhaustive(spec, max_runs=max_runs, jobs=jobs)
     base_seconds = time.perf_counter() - start
     start = time.perf_counter()
-    reduced = parallel_exhaustive(
+    reduced = explore_exhaustive(
         spec, max_runs=max_runs, jobs=jobs, reducer=reducer
     )
     reduced_seconds = time.perf_counter() - start

@@ -56,8 +56,6 @@ from .concurrency import (
     ThreadCtx,
     explore_exhaustive,
     explore_swarm,
-    parallel_exhaustive,
-    parallel_swarm,
     run_threads,
     with_lock,
 )
@@ -122,8 +120,6 @@ __all__ = [
     "explore_swarm",
     "format_outcome",
     "mutator",
-    "parallel_exhaustive",
-    "parallel_swarm",
     "observer",
     "operation",
     "render_trace",

@@ -10,8 +10,9 @@ schedulers.  Public surface:
 * :class:`Lock`, :class:`RWLock`
 * Schedulers: :class:`RandomScheduler`, :class:`RoundRobinScheduler`,
   :class:`PCTScheduler`, :class:`ReplayScheduler`
-* Exploration: :func:`explore_exhaustive`, :func:`explore_swarm`, plus the
-  multi-process engines :func:`parallel_exhaustive`, :func:`parallel_swarm`
+* Exploration: :func:`explore_exhaustive` and :func:`explore_swarm`, one
+  frontier engine at any job count (``jobs=1`` in-process, ``jobs>1`` over
+  a :class:`ResilientPool` of worker processes)
 """
 
 from .errors import (
@@ -27,8 +28,6 @@ from .parallel import (
     ExplorationTimeout,
     RefinementViolation,
     RemoteError,
-    parallel_exhaustive,
-    parallel_swarm,
     resolve_program,
 )
 from .reduction import ReducedReplayScheduler, StaticReducer
@@ -93,8 +92,6 @@ __all__ = [
     "Tracer",
     "explore_exhaustive",
     "explore_swarm",
-    "parallel_exhaustive",
-    "parallel_swarm",
     "resolve_program",
     "run_threads",
     "with_lock",

@@ -1,93 +1,33 @@
-"""Multi-process schedule exploration: parallel swarm + frontier-sharded DFS.
+"""What crosses the process boundary in multi-process exploration.
 
-The serial drivers in :mod:`repro.concurrency.explore` check one schedule at
-a time, so campaign wall-clock scales 1:1 with run count.  Every run on the
-deterministic substrate is independently reproducible from a seed or a
-decision vector, which makes exploration embarrassingly parallel; this
-module fans both drivers out across a process pool:
+:mod:`repro.concurrency.explore` runs every campaign over one frontier;
+with ``jobs>1`` it ships batches of frontier tasks to worker processes
+through :class:`~repro.concurrency.resilient.ResilientPool`.  This module
+holds what those workers need from the coordinator and send back to it.
 
-* :func:`parallel_swarm` -- shards the seed range into chunks dispatched to
-  worker processes.  Chunk results are consumed in submission (ascending
-  seed) order, so ``stop_on_failure`` reproduces the serial semantics
-  exactly: the campaign ends at the lowest failing seed and outstanding
-  chunks are cancelled, with the number of never-run seeds recorded on
-  :attr:`ExplorationResult.skipped`.
-* :func:`parallel_exhaustive` -- partitions the schedule tree by
-  decision-vector prefix.  A shared frontier (owned by the coordinating
-  process) holds unexplored prefixes; workers claim batches, run each prefix
-  through the existing :class:`ReplayScheduler` + always-first enumeration,
-  and return the *sibling prefixes* their runs discovered, which go back on
-  the frontier.  Work-sharing at prefix granularity means no worker idles
-  while the tree is uneven.
+**Program sources.**  Closures do not pickle, so multi-process exploration
+takes a *program source*: either a picklable callable
+``program(scheduler) -> outcome`` (a module-level function or
+:func:`functools.partial` thereof) or any object with a
+``resolve_program()`` method -- see :class:`repro.harness.ProgramSpec`,
+which names a workload-registry program plus its configuration and is
+resolved to a fresh kernel inside each worker.  :class:`_OncePickledSource`
+pickles the source once per campaign.
 
-**Frontier protocol.**  A task for prefix ``P`` performs exactly one run:
-replay ``P``, then take alternative 0 at every later decision point.  Its
-trace is therefore ``P + [0, 0, ...]``.  For every depth ``d >= len(P)``
-with ``n`` alternatives, the prefixes ``trace[:d] + [alt]`` for
-``alt in 1..n-1`` are pushed onto the frontier.  Every generated prefix ends
-in a non-zero decision, and every schedule's decision vector has a unique
-such generating prefix (truncate after its last non-zero decision; the
-all-zero schedule is the root's own run) -- so each schedule in the tree is
-executed exactly once, with no coordination between workers.
-
-**Program specs.**  Closures do not pickle, so parallel exploration takes a
-*program source*: either a picklable callable ``program(scheduler) ->
-outcome`` (a module-level function or :func:`functools.partial` thereof) or
-any object with a ``resolve_program()`` method -- see
-:class:`repro.harness.ProgramSpec`, which names a workload-registry program
-plus its configuration and is resolved to a fresh kernel inside each worker.
-Outcomes must be picklable; worker-side exceptions are shipped back as
-``(type name, message)`` pairs and revived as :class:`RemoteError`.
-
-**Canonical merge order.**  Swarm results are merged in ascending seed
-order, exhaustive results in lexicographic decision-vector order -- exactly
-the orders the serial drivers produce.  Parallel output is therefore
-bit-identical to serial (compare with
-:meth:`ExplorationResult.signature`), which is what makes the engine
-trustworthy and testable; the determinism suite in
-``tests/concurrency/test_parallel.py`` holds it to that.
-
-**Fault tolerance.**  Both drivers dispatch through
-:class:`~repro.concurrency.resilient.ResilientPool`: chunks get per-task
-wall-clock deadlines (``timeout=``), bounded retries with exponential
-backoff and seeded jitter (``max_retries=``/``backoff_base=``), and the
-pool survives worker deaths (``BrokenProcessPool``) by salvaging finished
-futures, rebuilding the executor and re-dispatching only the lost chunks.
-Because every run is a pure function of its seed / decision vector, a
-retried chunk reproduces byte-identical records, so recovery never
-reorders or duplicates canonical-order merge slots: a campaign that
-survived faults has the same :meth:`~ExplorationResult.signature` as one
-that never saw any, with the incident trail attached as
-:attr:`ExplorationResult.interruptions`.  A schedule that is *genuinely*
-stuck (still hung after isolation and retries) is converted into a
-diagnosable :class:`ExplorationTimeout` run record carrying the seed or
-decision-vector prefix needed to replay it.  ``faults=`` accepts a
-:class:`repro.faults.FaultPlan`, whose worker-targeted crash/hang/slow
-injections are resolved per dispatched task -- the deterministic test
-harness for all of the above.
+**Errors.**  Outcomes must be picklable; exceptions raised by a run inside
+a worker come back as :class:`RemoteError` surrogates that keep the
+original type name, so campaign signatures compare equal to in-process
+runs.  :class:`ExplorationTimeout` marks a schedule that stayed hung
+through the pool's isolation and retries; :class:`RefinementViolation` is
+the picklable failure raised by spec-driven programs.
 """
 
 from __future__ import annotations
 
-import functools
-import multiprocessing
-import os
 import pickle
-from collections import deque
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Optional
 
-from ..obs import merge_snapshots
-from .explore import (
-    ExplorationResult,
-    RunRecord,
-    _AlwaysFirst,
-    _program_metrics,
-    explore_exhaustive,
-    explore_swarm,
-)
-from .resilient import ResilientPool, RetryPolicy, TaskFailure
-from .schedulers import RandomScheduler, ReplayScheduler, Scheduler
+from .schedulers import Scheduler
 
 
 class RemoteError(Exception):
@@ -105,6 +45,15 @@ class RemoteError(Exception):
         super().__init__(message)
         self.remote_type = remote_type
         self.details = details
+
+    @classmethod
+    def of(cls, exc: BaseException) -> "RemoteError":
+        """The surrogate a worker ships home for ``exc``."""
+        details = getattr(exc, "details", None)
+        return cls(
+            type(exc).__name__, str(exc),
+            details if isinstance(details, dict) else None,
+        )
 
     def __reduce__(self):
         return (RemoteError, (self.remote_type, str(self), self.details))
@@ -198,461 +147,3 @@ class _OncePickledSource:
 
     def resolve_program(self):
         return resolve_program(self.source)
-
-
-def _resolve_jobs(jobs: Optional[int]) -> int:
-    if jobs is None or jobs <= 0:
-        try:
-            return max(1, len(os.sched_getaffinity(0)))
-        except AttributeError:  # pragma: no cover - non-Linux fallback
-            return max(1, os.cpu_count() or 1)
-    return jobs
-
-
-def _mp_context(name: Optional[str] = None):
-    """Prefer ``fork`` (cheap workers that inherit loaded modules)."""
-    if name is not None:
-        return multiprocessing.get_context(name)
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
-
-
-def _wire_error(exc: BaseException) -> Tuple[str, str, Optional[dict]]:
-    details = getattr(exc, "details", None)
-    if not isinstance(details, dict):
-        details = None
-    return (type(exc).__name__, str(exc), details)
-
-
-def _revive_error(wire):
-    if wire is None:
-        return None
-    if isinstance(wire, BaseException):
-        return wire  # synthesized coordinator-side (e.g. ExplorationTimeout)
-    return RemoteError(*wire)
-
-
-def _fold_pool_counters(metrics: Optional[dict], events: List[dict]) -> Optional[dict]:
-    """Count pool incidents (retries, rebuilds, hang kills) into ``metrics``.
-
-    ``pool.*`` counters reflect infrastructure luck, not the program under
-    test: a fault-free campaign has none, so the deterministic
-    serial==parallel metrics guarantee is untouched.
-    """
-    if metrics is None or not events:
-        return metrics
-    counters = metrics["counters"]
-    for event in events:
-        name = "pool.events." + str(event.get("kind", "unknown"))
-        counters[name] = counters.get(name, 0) + 1
-    return metrics
-
-
-def _retry_policy(timeout, max_retries, backoff_base, seed) -> RetryPolicy:
-    return RetryPolicy(
-        max_retries=max_retries,
-        timeout=timeout,
-        backoff_base=backoff_base,
-        seed=seed,
-    )
-
-
-def _fault_decorator(faults):
-    """Adapt a :class:`repro.faults.FaultPlan` to the pool's decorate hook.
-
-    Duck-typed so this module needs no import of :mod:`repro.faults`: any
-    object with ``task_faults(serial, attempt) -> picklable | None`` works.
-    The returned payload travels to the worker, which applies it at task
-    start (crash / hang / slow-down).
-    """
-    if faults is None:
-        return None
-    return lambda payload, serial, attempt: faults.task_faults(serial, attempt)
-
-
-# ---------------------------------------------------------------------------
-# Parallel swarm
-# ---------------------------------------------------------------------------
-
-
-def _swarm_chunk(source, stop_on_failure, scheduler_factory, seeds, inject=None):
-    """Worker: run one chunk of seeds, returning picklable wire results.
-
-    The wire shape is ``(records, metrics_snapshot)``: the per-seed records
-    plus the chunk recorder's deterministic counter snapshot (``None`` when
-    the program source does not carry metrics).
-
-    ``inject`` is the fault-injection hook resolved for this dispatch (see
-    :func:`_fault_decorator`); applied before any real work so a planned
-    crash/hang takes the whole chunk down, exactly like a real worker death.
-    """
-    if inject is not None:
-        inject.apply()
-    program = resolve_program(source)
-    make = scheduler_factory or RandomScheduler
-    records = []
-    for seed in seeds:
-        outcome = error = None
-        try:
-            outcome = program(make(seed))
-        except Exception as exc:
-            error = _wire_error(exc)
-        records.append((seed, outcome, error))
-        if error is not None and stop_on_failure:
-            break
-    return records, _program_metrics(program)
-
-
-def _split_seed_chunk(seeds) -> Optional[List[List[int]]]:
-    return [[seed] for seed in seeds] if len(seeds) > 1 else None
-
-
-def _concat_chunks(parts: List[tuple]) -> tuple:
-    records = [record for part in parts for record in part[0]]
-    return records, merge_snapshots(part[1] for part in parts)
-
-
-def _swarm_give_up(seeds, failure: TaskFailure) -> tuple:
-    return [
-        (seed, None, ExplorationTimeout(
-            seed, kind=failure.kind, attempts=failure.attempts,
-            detail=failure.message,
-        ))
-        for seed in seeds
-    ], None
-
-
-def parallel_swarm(
-    program,
-    num_runs: int = 100,
-    base_seed: int = 0,
-    stop_on_failure: bool = False,
-    jobs: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    scheduler_factory: Optional[Callable[[int], Scheduler]] = None,
-    mp_context: Optional[str] = None,
-    timeout: Optional[float] = None,
-    max_retries: int = 2,
-    backoff_base: float = 0.05,
-    faults=None,
-) -> ExplorationResult:
-    """Multi-process :func:`explore_swarm`: shard the seed range over a pool.
-
-    ``program`` is a program *source* (see :func:`resolve_program`); it and
-    ``scheduler_factory`` (if given) must be picklable.  ``jobs=None`` uses
-    every available CPU; ``jobs<=1`` runs serially in-process.  Results come
-    back in ascending seed order, identical to the serial driver's.
-
-    ``timeout``/``max_retries``/``backoff_base`` configure the fault-
-    tolerance layer (see the module docstring); ``faults`` injects a
-    :class:`repro.faults.FaultPlan` for deterministic failure testing.
-    Recovered incidents are reported on the result's ``interruptions``.
-    """
-    jobs = _resolve_jobs(jobs)
-    if jobs <= 1:
-        return explore_swarm(
-            resolve_program(program),
-            num_runs=num_runs,
-            base_seed=base_seed,
-            stop_on_failure=stop_on_failure,
-            scheduler_factory=scheduler_factory,
-        )
-    program = _OncePickledSource(program)
-    seeds = [base_seed + i for i in range(num_runs)]
-    if chunk_size is None:
-        # ~4 chunks per worker balances load against per-task dispatch cost.
-        chunk_size = max(1, -(-num_runs // (jobs * 4)))
-    chunks = [seeds[i : i + chunk_size] for i in range(0, num_runs, chunk_size)]
-    result = ExplorationResult(requested=num_runs)
-    context = _mp_context(mp_context)
-    pool = ResilientPool(
-        functools.partial(_swarm_chunk, program, stop_on_failure, scheduler_factory),
-        make_executor=lambda: ProcessPoolExecutor(
-            max_workers=jobs, mp_context=context
-        ),
-        policy=_retry_policy(timeout, max_retries, backoff_base, base_seed),
-        split=_split_seed_chunk,
-        combine=_concat_chunks,
-        give_up=_swarm_give_up,
-        decorate=_fault_decorator(faults),
-    )
-    stopped = False
-    snapshots: List[Optional[dict]] = []
-    try:
-        for chunk in chunks:
-            pool.submit(chunk)
-        # Consume in submission order: chunks are contiguous ascending seed
-        # ranges, so the merged record list is already canonically sorted and
-        # the first failure seen is the lowest failing seed -- exactly the
-        # run the serial driver would have stopped at.  Retried chunks land
-        # in their original slot (the pool keys results by submission
-        # ordinal), so recovery cannot perturb the order.
-        buffered = {}
-        for key in range(len(chunks)):
-            if stopped:
-                break
-            while key not in buffered:
-                done_key, (records, snapshot) = pool.next_completed()
-                buffered[done_key] = records
-                snapshots.append(snapshot)
-            for seed, outcome, error in buffered.pop(key):
-                record = RunRecord(
-                    schedule=seed, outcome=outcome, error=_revive_error(error)
-                )
-                result.runs.append(record)
-                if record.failed and stop_on_failure:
-                    stopped = True
-                    break
-    except (BrokenExecutor, OSError) as exc:
-        # Unrecoverable infrastructure collapse (executor cannot even be
-        # rebuilt): keep every merged outcome and attach the failure rather
-        # than losing the campaign.
-        result.interruptions.append(
-            {"kind": "fatal", "detail": repr(exc), "task": None}
-        )
-    finally:
-        pool.shutdown()
-    result.interruptions.extend(pool.events)
-    result.skipped = num_runs - len(result.runs)
-    result.metrics = _fold_pool_counters(merge_snapshots(snapshots), pool.events)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Parallel exhaustive DFS
-# ---------------------------------------------------------------------------
-
-
-def _exhaustive_batch(source, prefixes, inject=None):
-    """Worker: expand a batch of claimed prefixes (one run each).
-
-    Returns ``(records, discovered, metrics_snapshot)`` where each record is
-    ``(decision_vector, outcome, wire_error)``, ``discovered`` lists the
-    sibling prefixes found below each prefix (see the frontier protocol in
-    the module docstring), and ``metrics_snapshot`` is the chunk recorder's
-    deterministic counter snapshot (``None`` without metrics).
-    """
-    if inject is not None:
-        inject.apply()
-    program = resolve_program(source)
-    records = []
-    discovered: List[List[int]] = []
-    for prefix in prefixes:
-        scheduler = ReplayScheduler(decisions=list(prefix), fallback=_AlwaysFirst())
-        outcome = error = None
-        try:
-            outcome = program(scheduler)
-        except Exception as exc:
-            error = _wire_error(exc)
-        trace = scheduler.trace
-        indices = [index for index, _ in trace]
-        records.append((indices, outcome, error))
-        for depth in range(len(prefix), len(trace)):
-            chosen, num_choices = trace[depth]
-            for alt in range(chosen + 1, num_choices):
-                discovered.append(indices[:depth] + [alt])
-    return records, discovered, _program_metrics(program)
-
-
-def _reduced_exhaustive_batch(source, reducer, entries, inject=None):
-    """Worker: expand claimed ``(prefix, sleep)`` frontier entries.
-
-    The sleep-set variant of :func:`_exhaustive_batch` (see
-    :mod:`repro.concurrency.reduction`): each entry replays its prefix under
-    its inherited sleep set, and sibling generation both emits the surviving
-    ``(prefix, sleep)`` entries and counts the pruned subtrees.  Wire shape:
-    ``(records, discovered, pruned, metrics_snapshot)``.  Every sleep set is
-    computed by the worker that generated the entry, so the frontier needs
-    no more coordination than the unreduced one.
-    """
-    from .reduction import ReducedReplayScheduler
-
-    if inject is not None:
-        inject.apply()
-    program = resolve_program(source)
-    records = []
-    discovered: List[tuple] = []
-    pruned = 0
-    for prefix, sleep in entries:
-        scheduler = ReducedReplayScheduler(
-            decisions=list(prefix), sleep=dict(sleep), reducer=reducer
-        )
-        outcome = error = None
-        try:
-            outcome = program(scheduler)
-        except Exception as exc:
-            error = _wire_error(exc)
-        indices = [index for index, _ in scheduler.trace]
-        records.append((indices, outcome, error))
-        entries_found, newly_pruned = scheduler.siblings()
-        discovered.extend(entries_found)
-        pruned += newly_pruned
-    return records, discovered, pruned, _program_metrics(program)
-
-
-def _split_prefix_batch(prefixes) -> Optional[List[list]]:
-    return [[prefix] for prefix in prefixes] if len(prefixes) > 1 else None
-
-
-def _combine_batches(parts: List[tuple]) -> tuple:
-    records = [record for part in parts for record in part[0]]
-    discovered = [prefix for part in parts for prefix in part[1]]
-    return records, discovered, merge_snapshots(part[2] for part in parts)
-
-
-def _exhaustive_give_up(prefixes, failure: TaskFailure) -> tuple:
-    records = [
-        (list(prefix), None, ExplorationTimeout(
-            list(prefix), kind=failure.kind, attempts=failure.attempts,
-            detail=failure.message,
-        ))
-        for prefix in prefixes
-    ]
-    # The subtree below an abandoned prefix is unexplored: no siblings to
-    # report, and the driver marks the campaign non-exhausted.
-    return records, [], None
-
-
-def _combine_reduced_batches(parts: List[tuple]) -> tuple:
-    records = [record for part in parts for record in part[0]]
-    discovered = [entry for part in parts for entry in part[1]]
-    pruned = sum(part[2] for part in parts)
-    return records, discovered, pruned, merge_snapshots(part[3] for part in parts)
-
-
-def _reduced_give_up(entries, failure: TaskFailure) -> tuple:
-    records = [
-        (list(prefix), None, ExplorationTimeout(
-            list(prefix), kind=failure.kind, attempts=failure.attempts,
-            detail=failure.message,
-        ))
-        for prefix, _sleep in entries
-    ]
-    return records, [], 0, None
-
-
-def parallel_exhaustive(
-    program,
-    max_runs: int = 10_000,
-    stop_on_failure: bool = False,
-    jobs: Optional[int] = None,
-    chunk_size: int = 16,
-    mp_context: Optional[str] = None,
-    timeout: Optional[float] = None,
-    max_retries: int = 2,
-    backoff_base: float = 0.05,
-    faults=None,
-    reducer=None,
-) -> ExplorationResult:
-    """Multi-process :func:`explore_exhaustive` via frontier sharding.
-
-    Covers exactly the schedules the serial DFS covers; with a budget large
-    enough to exhaust the space, the merged result (sorted lexicographically
-    by decision vector) is identical to the serial one.  Under a binding
-    ``max_runs`` budget the two engines visit *different* subsets of the
-    tree (DFS order vs. frontier order), so budget-limited results are only
-    set-comparable to themselves.  ``stop_on_failure`` stops dispatching new
-    work once any failure is observed, drains in-flight batches, and
-    truncates the canonical ordering after its first failure.
-
-    ``timeout``/``max_retries``/``backoff_base``/``faults`` configure the
-    fault-tolerance layer exactly as for :func:`parallel_swarm`.  A prefix
-    that stays hung through isolation and retries becomes a failed record
-    with an :class:`ExplorationTimeout` error, and the campaign is marked
-    non-exhausted (its subtree was never enumerated).
-
-    ``reducer`` (a picklable
-    :class:`repro.concurrency.reduction.StaticReducer`) switches the
-    frontier to sleep-set entries ``(prefix, sleep)``: statically redundant
-    sibling subtrees are counted on ``result.pruned`` instead of dispatched.
-    The reduced parallel campaign covers exactly the schedules the reduced
-    serial one does.
-    """
-    jobs = _resolve_jobs(jobs)
-    if jobs <= 1:
-        return explore_exhaustive(
-            resolve_program(program),
-            max_runs=max_runs,
-            stop_on_failure=stop_on_failure,
-            reducer=reducer,
-        )
-    program = _OncePickledSource(program)
-    reduced = reducer is not None
-    frontier: deque = deque([([], {})] if reduced else [[]])
-    runs: List[RunRecord] = []
-    dispatched = 0
-    pruned = 0
-    failure_seen = False
-    abandoned = False
-    context = _mp_context(mp_context)
-    pool = ResilientPool(
-        functools.partial(_reduced_exhaustive_batch, program, reducer)
-        if reduced
-        else functools.partial(_exhaustive_batch, program),
-        make_executor=lambda: ProcessPoolExecutor(
-            max_workers=jobs, mp_context=context
-        ),
-        policy=_retry_policy(timeout, max_retries, backoff_base, max_runs),
-        split=_split_prefix_batch,
-        combine=_combine_reduced_batches if reduced else _combine_batches,
-        give_up=_reduced_give_up if reduced else _exhaustive_give_up,
-        decorate=_fault_decorator(faults),
-    )
-    interruptions: List[dict] = []
-    snapshots: List[Optional[dict]] = []
-    try:
-        while True:
-            while (
-                frontier
-                and not (stop_on_failure and failure_seen)
-                and pool.in_flight < jobs * 2
-                and dispatched < max_runs
-            ):
-                batch = []
-                while frontier and len(batch) < chunk_size and dispatched < max_runs:
-                    batch.append(frontier.popleft())
-                    dispatched += 1
-                pool.submit(batch)
-            if not pool.has_pending:
-                break
-            _key, payload = pool.next_completed()
-            if reduced:
-                records, discovered, newly_pruned, snapshot = payload
-                pruned += newly_pruned
-            else:
-                records, discovered, snapshot = payload
-            snapshots.append(snapshot)
-            for schedule, outcome, error in records:
-                revived = _revive_error(error)
-                record = RunRecord(
-                    schedule=schedule, outcome=outcome, error=revived
-                )
-                runs.append(record)
-                if record.failed:
-                    failure_seen = True
-                if isinstance(revived, ExplorationTimeout):
-                    abandoned = True
-            frontier.extend(discovered)
-    except (BrokenExecutor, OSError) as exc:
-        interruptions.append({"kind": "fatal", "detail": repr(exc), "task": None})
-        abandoned = True
-    finally:
-        pool.shutdown()
-    budget_hit = dispatched >= max_runs and bool(frontier)
-    runs.sort(key=lambda record: tuple(record.schedule))
-    result = ExplorationResult(runs=runs)
-    result.interruptions = interruptions + pool.events
-    result.metrics = _fold_pool_counters(merge_snapshots(snapshots), pool.events)
-    if stop_on_failure and failure_seen:
-        for position, record in enumerate(runs):
-            if record.failed:
-                del runs[position + 1 :]
-                break
-        result.exhausted = False
-    else:
-        result.exhausted = not frontier and not budget_hit and not abandoned
-    if reduced:
-        result.pruned = pruned
-        result.skipped = pruned
-        result.requested = len(result.runs) + pruned
-    return result

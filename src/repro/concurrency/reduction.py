@@ -44,10 +44,10 @@ depth, the unexplored alternatives exactly as the unreduced frontier
 protocol does -- except that alternatives already asleep are *pruned*
 (counted, never executed) and each generated sibling inherits
 ``{u in sleep + earlier-siblings : independent(u, step_into_sibling)}``.
-Every entry's sleep set is computed by the run that generated it, so
-:func:`repro.concurrency.parallel.parallel_exhaustive` shards the frontier
-with no extra coordination and serial and parallel reduced campaigns
-cover the identical schedule set.
+Every entry's sleep set is computed by the run that generated it, so the
+exploration frontier (:mod:`repro.concurrency.explore`) hands entries to
+any worker with no extra coordination, and reduced campaigns cover the
+identical schedule set at every job count.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .kernel import (
     RWEndWriteSys,
     WriteSys,
 )
-from .schedulers import Scheduler
+from .schedulers import ReplayScheduler
 
 # Step descriptors: small picklable tuples naming the shared effect of one
 # executed kernel step.
@@ -217,16 +217,16 @@ class StaticReducer:
         )
 
 
-class ReducedReplayScheduler(Scheduler):
-    """A :class:`ReplayScheduler` variant that carries a sleep set.
+class ReducedReplayScheduler(ReplayScheduler):
+    """A :class:`ReplayScheduler` that carries a sleep set.
 
-    Replays ``decisions`` exactly; beyond them, picks the lowest-tid
-    runnable thread **not in the sleep set** (the unreduced fallback is
-    always-first, so with an empty sleep set the two enumerate identical
-    trees).  The kernel feeds every executed step back through
-    :meth:`on_step` (see ``Kernel._step_listener``), which is what keeps
-    the sleep set filtered and the per-depth step log aligned with
-    ``trace``.
+    Replays ``decisions`` exactly (the base class's cursor, clamp and
+    trace); beyond them, picks the lowest-tid runnable thread **not in the
+    sleep set** (the unreduced fallback is always-first, so with an empty
+    sleep set the two enumerate identical trees).  The kernel feeds every
+    executed step back through :meth:`on_step` (see
+    ``Kernel._step_listener``), which is what keeps the sleep set filtered
+    and the per-depth step log aligned with ``trace``.
     """
 
     def __init__(
@@ -235,10 +235,8 @@ class ReducedReplayScheduler(Scheduler):
         sleep: Optional[Dict[int, Step]] = None,
         reducer: Optional[StaticReducer] = None,
     ):
-        self.decisions = list(decisions)
+        super().__init__(decisions)
         self.reducer = reducer or StaticReducer({}, ())
-        self.trace: List[tuple] = []  # (chosen_index, num_choices)
-        self._cursor = 0
         self._entry_sleep: Dict[int, Step] = dict(sleep or {})
         self._sleep: Dict[int, Step] = {}
         self._armed = False
@@ -255,39 +253,30 @@ class ReducedReplayScheduler(Scheduler):
     # -- scheduling ---------------------------------------------------------
 
     def pick(self, runnable: Sequence, step: int):
-        depth = len(self.trace)
         if self._cursor < len(self.decisions):
-            index = self.decisions[self._cursor]
-            if index >= len(runnable):
-                index = len(runnable) - 1
-            self._cursor += 1
-        else:
-            if not self._armed:
-                # The inherited sleep set describes the node *after* the
-                # scripted prefix; activate it only once the prefix -- and
-                # the prefix's own step filtering -- is behind us.
-                self._armed = True
-                self._sleep = dict(self._entry_sleep)
-            index = next(
-                (
-                    j
-                    for j, t in enumerate(runnable)
-                    if t.tid not in self._sleep
-                ),
-                None,
+            return super().pick(runnable, step)
+        if not self._armed:
+            # The inherited sleep set describes the node *after* the
+            # scripted prefix; activate it only once the prefix -- and
+            # the prefix's own step filtering -- is behind us.
+            self._armed = True
+            self._sleep = dict(self._entry_sleep)
+        index = next(
+            (j for j, t in enumerate(runnable) if t.tid not in self._sleep),
+            None,
+        )
+        if index is None:
+            self.sleep_blocked += 1
+            index = 0
+            self._sleep.pop(runnable[0].tid, None)
+        self.nodes.append(
+            (
+                len(self.trace),
+                tuple(t.tid for t in runnable),
+                dict(self._sleep),
+                index,
             )
-            if index is None:
-                self.sleep_blocked += 1
-                index = 0
-                self._sleep.pop(runnable[0].tid, None)
-            self.nodes.append(
-                (
-                    depth,
-                    tuple(t.tid for t in runnable),
-                    dict(self._sleep),
-                    index,
-                )
-            )
+        )
         self.trace.append((index, len(runnable)))
         return runnable[index]
 

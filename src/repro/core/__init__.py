@@ -36,7 +36,6 @@ from .actions import (
 from .exhaustive import (
     ExhaustiveVerification,
     ScheduleViolation,
-    check_program_all_schedules,
     replay_schedule,
     verify_all_schedules,
 )
@@ -168,7 +167,6 @@ __all__ = [
     "prefix_unit",
     "render_trace",
     "render_witness",
-    "check_program_all_schedules",
     "replay_schedule",
     "respects_program_order",
     "save_log",

@@ -40,10 +40,8 @@ from .verifier import Vyrd
 class ScheduleViolation:
     """One schedule whose run failed refinement (or crashed).
 
-    ``outcome`` is the failing :class:`CheckOutcome` (in-process checking)
-    or its ``to_dict()`` form when the violation crossed a worker-process
-    boundary (:func:`check_program_all_schedules` with ``jobs > 1``); None
-    if the run itself crashed before checking.
+    ``outcome`` is the failing :class:`CheckOutcome`, or None if the run
+    itself crashed before checking (``error`` then holds the exception).
     """
 
     schedule: List[int]          # ReplayScheduler decision vector
@@ -78,20 +76,19 @@ def verify_all_schedules(
     make_run: Callable[[Scheduler], Vyrd],
     max_runs: int = 10_000,
     stop_at_first: bool = False,
-    check: Optional[Callable[[Vyrd], CheckOutcome]] = None,
 ) -> ExhaustiveVerification:
     """Run ``make_run`` under every schedule (up to ``max_runs``) and check
-    each produced log.
+    each produced log with ``vyrd.check_offline()``.
 
     ``make_run(scheduler)`` must build a *fresh* program each call, run it to
-    completion and return its :class:`Vyrd` session.  ``check`` defaults to
-    ``vyrd.check_offline()``.
+    completion and return its :class:`Vyrd` session.  The closure pins the
+    campaign to this process; for a multi-process campaign over a picklable
+    program source, call :func:`repro.concurrency.explore_exhaustive` with
+    ``jobs``.
     """
-    check = check or (lambda vyrd: vyrd.check_offline())
 
     def program(scheduler: Scheduler):
-        vyrd = make_run(scheduler)
-        outcome = check(vyrd)
+        outcome = make_run(scheduler).check_offline()
         if not outcome.ok:
             # surface through the explorer's failure channel, carrying the
             # outcome for the report
@@ -113,43 +110,6 @@ def verify_all_schedules(
             result.violations.append(
                 ScheduleViolation(record.schedule, None, record.error)
             )
-    return result
-
-
-def check_program_all_schedules(
-    program,
-    max_runs: int = 10_000,
-    stop_at_first: bool = False,
-    jobs: Optional[int] = 1,
-) -> ExhaustiveVerification:
-    """Bounded exhaustive checking of a *picklable* program, optionally
-    fanned out over worker processes.
-
-    ``program`` is a program source for
-    :func:`repro.concurrency.parallel.parallel_exhaustive`: a
-    :class:`repro.harness.ProgramSpec` (registry workload + config, with the
-    refinement check built in) or any picklable ``program(scheduler)``
-    callable that raises on a violation.  Unlike
-    :func:`verify_all_schedules`, whose ``make_run`` closure pins it to one
-    process, this path shards the schedule tree across ``jobs`` workers;
-    failure details that crossed a process boundary surface as
-    ``ScheduleViolation.outcome`` dicts (see :class:`ScheduleViolation`).
-    """
-    from ..concurrency.parallel import parallel_exhaustive
-
-    explored = parallel_exhaustive(
-        program, max_runs=max_runs, stop_on_failure=stop_at_first, jobs=jobs
-    )
-    result = ExhaustiveVerification(
-        schedules_run=explored.num_runs, exhausted=explored.exhausted
-    )
-    for record in explored.failures:
-        error = record.error
-        details = getattr(error, "details", None)
-        if details is not None:
-            result.violations.append(ScheduleViolation(record.schedule, details))
-        else:
-            result.violations.append(ScheduleViolation(record.schedule, None, error))
     return result
 
 

@@ -66,7 +66,7 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..concurrency.parallel import parallel_swarm
+from ..concurrency.explore import _swarm_chunks, explore_swarm
 from ..core.log import load_log, recover_log, save_log, verify_chain
 from ..harness.runner import ProgramSpec, run_program
 from .inject import apply_log_faults
@@ -173,12 +173,6 @@ class FaultCampaignReport:
             "linz_checks": list(self.linz_checks),
             "linz_ok": self.linz_ok,
         }
-
-
-def _expected_chunks(num_runs: int, jobs: int) -> int:
-    """Mirror parallel_swarm's default chunking to size fault-plan targeting."""
-    chunk_size = max(1, -(-num_runs // (jobs * 4)))
-    return -(-num_runs // chunk_size)
 
 
 def _corruption_round(
@@ -751,7 +745,7 @@ def run_fault_campaign(
     if plan is None:
         plan = FaultPlan.generate(
             seed,
-            tasks=_expected_chunks(num_runs, jobs),
+            tasks=len(_swarm_chunks(range(num_runs), jobs)),
             hang_seconds=max(timeout * 6, 30.0),
             slow_ios=slow_ios,
             producer_kills=1,
@@ -771,11 +765,11 @@ def run_fault_campaign(
     )
     start = time.monotonic()
     with obs.span("campaign.baseline", cat="faults"):
-        baseline = parallel_swarm(spec, num_runs=num_runs, jobs=1)
+        baseline = explore_swarm(spec, num_runs=num_runs, jobs=1)
     report.baseline_seconds = time.monotonic() - start
     start = time.monotonic()
     with obs.span("campaign.faulted", cat="faults"):
-        faulted = parallel_swarm(
+        faulted = explore_swarm(
             spec,
             num_runs=num_runs,
             jobs=jobs,

@@ -4,22 +4,16 @@
   Table 1, plus the Scan file system).
 * :func:`run_program` -- run one seeded workload and obtain its VYRD log.
 * :class:`ProgramSpec` / :func:`explore_program` -- picklable workload
-  descriptions and the exploration-campaign driver (serial or
-  multi-process via :mod:`repro.concurrency.parallel`).
+  descriptions and the exploration-campaign driver over
+  :func:`repro.concurrency.explore_swarm` /
+  :func:`repro.concurrency.explore_exhaustive` (``jobs=1`` in-process,
+  ``jobs>1`` in worker processes).
 * :func:`detection_experiment` (Table 1),
   :func:`logging_overhead_experiment` (Table 2),
   :func:`breakdown_experiment` (Table 3).
 """
 
-from .metrics import (
-    CpuTimer,
-    WallTimer,
-    fmt,
-    mean,
-    render_table,
-    time_call_cpu,
-    time_call_wall,
-)
+from .metrics import fmt, mean, render_table
 from .runner import (
     BreakdownResult,
     DetectionResult,
@@ -43,10 +37,8 @@ __all__ = [
     "PROGRAMS",
     "Program",
     "ProgramSpec",
-    "CpuTimer",
     "RunResult",
     "ShrinkingPool",
-    "WallTimer",
     "breakdown_experiment",
     "detection_experiment",
     "explore_program",
@@ -56,6 +48,4 @@ __all__ = [
     "mean",
     "render_table",
     "run_program",
-    "time_call_cpu",
-    "time_call_wall",
 ]

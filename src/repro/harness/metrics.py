@@ -1,69 +1,20 @@
-"""Measurement utilities and table formatting for the benchmark harness.
+"""Aggregation and table formatting for the paper's result tables.
 
-Two clocks, named explicitly because they answer different questions:
+* :func:`mean` -- average over the measurements that exist (``None``
+  entries are absent measurements, not zeros).
+* :func:`fmt` / :func:`render_table` -- plain-text tables in the style of
+  the paper's Tables 1-3.
 
-* **cpu** (``time.process_time``) -- CPU seconds consumed by *this* process.
-  The paper's tables report CPU time, and it is the right clock for
-  single-process checker-cost comparisons; it does not advance during
-  sleeps and never sees work done by worker processes.
-* **wall** (``time.perf_counter``) -- elapsed real time.  The right clock
-  for anything involving the multi-process explorers, fault-injection
-  latency, or end-to-end campaign cost.
-
-Pick the variant that matches what you are measuring; there is
-intentionally no clock-agnostic ``Timer``/``time_call`` any more (the old
-ones silently used the cpu clock, under-reporting every multi-process or
-sleeping workload).
+Timing is not done here: the experiment drivers read the clock they need
+directly (``time.process_time`` for the paper's single-process CPU-time
+tables, ``time.perf_counter`` for anything spanning worker processes or
+sleeps), and the end-to-end benchmark keeps its own timing harness
+(``benchmarks/e2e/timing.py``).
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from typing import Iterable, List, Optional, Sequence
-
-
-class _AccumulatingTimer:
-    """Accumulating timer; subclasses pick the clock."""
-
-    _clock = staticmethod(time.process_time)
-
-    def __init__(self):
-        self.elapsed = 0.0
-
-    @contextmanager
-    def measure(self):
-        start = self._clock()
-        try:
-            yield self
-        finally:
-            self.elapsed += self._clock() - start
-
-
-class CpuTimer(_AccumulatingTimer):
-    """Accumulating CPU-time timer (this process only; sleeps excluded)."""
-
-    _clock = staticmethod(time.process_time)
-
-
-class WallTimer(_AccumulatingTimer):
-    """Accumulating wall-clock timer (covers worker processes and sleeps)."""
-
-    _clock = staticmethod(time.perf_counter)
-
-
-def time_call_cpu(fn, *args, **kwargs):
-    """Run ``fn`` and return ``(result, cpu_seconds)`` for this process."""
-    start = time.process_time()
-    result = fn(*args, **kwargs)
-    return result, time.process_time() - start
-
-
-def time_call_wall(fn, *args, **kwargs):
-    """Run ``fn`` and return ``(result, wall_seconds)``."""
-    start = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - start
 
 
 def mean(values: Iterable[Optional[float]]) -> Optional[float]:

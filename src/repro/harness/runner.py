@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
 from ..concurrency import Kernel
-from ..concurrency.explore import ExplorationResult
-from ..concurrency.parallel import (
-    RefinementViolation,
-    parallel_exhaustive,
-    parallel_swarm,
+from ..concurrency.explore import (
+    ExplorationResult,
+    explore_exhaustive,
+    explore_swarm,
 )
+from ..concurrency.parallel import RefinementViolation
 from ..core import CheckOutcome, Vyrd
 from ..obs import Recorder
 from .metrics import mean
@@ -274,9 +274,10 @@ def log_hb_fingerprint(log) -> str:
 class ProgramSpec:
     """A picklable description of one workload-registry program run.
 
-    Closures do not cross process boundaries, so the multi-process explorers
-    (:mod:`repro.concurrency.parallel`) take this spec instead: the registry
-    *name* plus the configuration needed to rebuild the workload.  Each
+    Closures do not cross process boundaries, so exploration with
+    ``jobs>1`` (:mod:`repro.concurrency.explore`) takes this spec instead:
+    the registry *name* plus the configuration needed to rebuild the
+    workload.  Each
     worker resolves it to a fresh kernel + data structure via
     :meth:`resolve_program`, runs the workload under the explorer-supplied
     scheduler, and checks refinement offline.
@@ -408,7 +409,7 @@ def explore_program(
 
         reducer = StaticReducer.from_effects(analyze_program(spec.program))
     if mode == "swarm":
-        return parallel_swarm(
+        return explore_swarm(
             spec,
             num_runs=num_runs,
             base_seed=base_seed,
@@ -416,7 +417,7 @@ def explore_program(
             jobs=jobs,
         )
     if mode == "exhaustive":
-        return parallel_exhaustive(
+        return explore_exhaustive(
             spec,
             max_runs=max_runs,
             stop_on_failure=stop_on_failure,

@@ -48,7 +48,7 @@ consumes; ``explore`` runs a whole campaign -- seeded random schedules
 (swarm) or bounded exhaustive enumeration, optionally pruned by
 sleep-set reduction over the static matrix (``--reduce static``) --
 optionally fanned out across worker
-processes (:mod:`repro.concurrency.parallel`); ``check`` rebuilds the
+processes (``--jobs``, :mod:`repro.concurrency.explore`); ``check`` rebuilds the
 program's spec/view/invariants from the registry and
 replays the saved log offline (``--recover`` salvages damaged logs first);
 ``faults`` runs a seeded fault-injection campaign

@@ -1,6 +1,9 @@
 """Schedule exploration: exhaustive enumeration and swarm testing."""
 
 import gc
+import hashlib
+import json
+import tracemalloc
 
 from repro.concurrency import (
     Kernel,
@@ -78,6 +81,40 @@ def test_exhaustive_reports_failures():
     result = explore_exhaustive(program, max_runs=500, stop_on_failure=True)
     assert result.first_failure is not None
     assert isinstance(result.first_failure.error, AssertionError)
+
+
+def _deep_program(scheduler):
+    """Three threads of 300 checkpoints each: a schedule tree 900 deep."""
+
+    def body(ctx):
+        for _ in range(300):
+            yield ctx.checkpoint()
+
+    kernel = Kernel(scheduler=scheduler)
+    for name in "abc":
+        kernel.spawn(body, name=name)
+    kernel.run()
+
+
+def _frontier_transient(max_runs):
+    """Peak minus current traced memory of a campaign, its result alive:
+    what the frontier held beyond the runs it returned."""
+    tracemalloc.start()
+    try:
+        result = explore_exhaustive(_deep_program, max_runs=max_runs)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.num_runs == max_runs and not result.exhausted
+    return peak - current
+
+
+def test_frontier_memory_does_not_grow_with_the_run_count():
+    """Unreduced exhaustion at jobs=1 backtracks over the last run's trace,
+    so its pending work stays proportional to the tree depth, not to the
+    number of runs taken."""
+    few, many = _frontier_transient(5), _frontier_transient(200)
+    assert many < 2 * few, (few, many)
 
 
 def test_exhaustive_respects_run_budget():
@@ -173,3 +210,107 @@ def test_failed_runs_do_not_pin_their_program_in_cycles():
     )
     assert failures >= 1
     assert leaked == 0
+
+
+def _campaign_digest(result):
+    """SHA-256 over a campaign's signature and accounting, as canonical JSON."""
+    payload = {
+        "signature": result.signature(),
+        "requested": result.requested,
+        "skipped": result.skipped,
+        "pruned": result.pruned,
+    }
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode("utf-8")
+    ).hexdigest()
+
+
+#: Reduced exhaustion of the four schedule-reduction configs:
+#: (program, buggy, threads, calls, workload_seed) -> (num_runs, pruned, digest).
+GOLDEN_REDUCED = {
+    ("blinktree", False, 2, 2, 13): (
+        14, 32,
+        "0034fe6e1fc295a23b1e5a3536ec208739fb2afa070caafe28e7ba4487bba879",
+    ),
+    ("multiset-vector", True, 2, 1, 16): (
+        258, 81,
+        "7c2db928311cafe402582845bd8f26984d148ccdea7439bb517a0dc7e3b86c95",
+    ),
+    ("blinktree", False, 3, 1, 7): (
+        108, 55,
+        "6ce67584418e90158d7290d3552442da2aa3eb21284dceda1981a49721a8e15a",
+    ),
+    ("multiset-vector", False, 2, 1, 16): (
+        273, 245,
+        "2ce89e5ede76cf1ce7c724d50c3c57dbd6701fc2bcf7b1d297a1aec5be1d5196",
+    ),
+}
+#: First failing decision vector of buggy multiset-vector 2x1 ws16.
+GOLDEN_FIRST_VIOLATION = [0, 0, 1] + [0] * 13
+
+
+def test_golden_campaigns_are_pinned():
+    """Pin the runs, accounting and order of representative campaigns.
+
+    Any change to which schedules a campaign runs, in which order, or how
+    it counts them changes a digest here.  The digests hash canonical JSON,
+    not pickle bytes, so they hold on every supported Python.
+    """
+    exhaustive = dict(mode="exhaustive", daemons=False, fingerprint=True,
+                      jobs=1, max_runs=60_000)
+    for (program, buggy, threads, calls, seed), golden in GOLDEN_REDUCED.items():
+        result = explore_program(
+            program, reduce="static", buggy=buggy, num_threads=threads,
+            calls_per_thread=calls, workload_seed=seed, **exhaustive,
+        )
+        assert result.exhausted
+        assert (result.num_runs, result.pruned, _campaign_digest(result)) == golden
+
+    # a binding budget pins which DFS prefix of the tree gets visited
+    budget = explore_program(
+        "blinktree", num_threads=2, calls_per_thread=2, workload_seed=13,
+        **dict(exhaustive, max_runs=200),
+    )
+    assert not budget.exhausted
+    assert budget.num_runs == 200
+    assert budget.runs[-1].schedule == [0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 1, 1, 0]
+    assert _campaign_digest(budget) == (
+        "fdde5825182aeb7b5ac4ce5aeb50c21c32aaad29f3b6c0ca77d44caeff6a5611"
+    )
+
+    # stop_on_failure ends at the first failure in lexicographic order
+    stops = {
+        None: (
+            2003,
+            "32f11951649172701c7334b6f3e6988b063f6fe2502319166ce75fc65b7efdbf",
+        ),
+        "static": (
+            19,
+            "ff9eb02c74bd554414ba939ccae2c5fd1e29a83ee1893ade25145f8bca38050b",
+        ),
+    }
+    for reduce, (num_runs, digest) in stops.items():
+        stopped = explore_program(
+            "multiset-vector", reduce=reduce, buggy=True, num_threads=2,
+            calls_per_thread=1, workload_seed=16, stop_on_failure=True,
+            **exhaustive,
+        )
+        assert stopped.first_failure.schedule == GOLDEN_FIRST_VIOLATION
+        assert stopped.runs[-1] is stopped.first_failure
+        assert (stopped.num_runs, _campaign_digest(stopped)) == (num_runs, digest)
+
+    swarm = explore_program(
+        "blinktree", num_runs=50, num_threads=3, calls_per_thread=6, jobs=1
+    )
+    assert swarm.num_runs == 50 and swarm.first_failure is None
+    assert _campaign_digest(swarm) == (
+        "5b4633f4d9fb6f77156d938e4ea56f85cac2fb5c6bd701a8dcb361de5aceb866"
+    )
+    detect = explore_program(
+        "blinktree", buggy=True, stop_on_failure=True, num_runs=100_000,
+        num_threads=3, calls_per_thread=6, jobs=1,
+    )
+    assert (detect.num_runs, detect.first_failure.schedule) == (20, 19)
+    assert _campaign_digest(detect) == (
+        "744d051f2862bb9a64285a0ca9a2b95f0adb0ac875938d266bfacac9974f4042"
+    )

@@ -1,9 +1,10 @@
-"""Determinism suite: the multi-process explorers match their serial twins.
+"""Determinism suite: exploration over worker processes matches jobs=1.
 
 Every test compares campaign *signatures* (schedules, outcomes, normalized
-errors, exhausted flag) between the serial drivers and the parallel engines
-at several worker counts -- parallel output must be bit-identical to serial
-modulo scheduling, which is what makes the engine trustworthy.
+errors, exhausted flag) between in-process (``jobs=1``) campaigns and the
+same campaigns over a worker pool at several job counts -- pool output
+must be bit-identical to in-process output modulo scheduling, which is
+what makes the engine trustworthy.
 
 The toy programs live at module level so worker processes can unpickle them
 by reference; the suite requires the ``fork`` start method (workers inherit
@@ -16,13 +17,7 @@ from functools import partial
 import pytest
 
 from repro.concurrency import Kernel, SharedCell, explore_exhaustive, explore_swarm
-from repro.concurrency.parallel import (
-    RemoteError,
-    parallel_exhaustive,
-    parallel_swarm,
-    resolve_program,
-)
-from repro.core import check_program_all_schedules
+from repro.concurrency.parallel import RemoteError, resolve_program
 from repro.harness import ProgramSpec
 
 pytestmark = pytest.mark.skipif(
@@ -89,7 +84,7 @@ def _tree_program(shape, scheduler):
 def test_parallel_swarm_matches_serial_on_registry_programs(program, jobs):
     spec = ProgramSpec(program, num_threads=2, calls_per_thread=3)
     serial = explore_swarm(spec.resolve_program(), num_runs=8)
-    parallel = parallel_swarm(spec, num_runs=8, jobs=jobs)
+    parallel = explore_swarm(spec, num_runs=8, jobs=jobs)
     assert parallel.signature() == serial.signature()
     assert parallel.requested == 8 and parallel.skipped == 0
 
@@ -97,7 +92,7 @@ def test_parallel_swarm_matches_serial_on_registry_programs(program, jobs):
 @pytest.mark.parametrize("jobs", JOBS)
 def test_parallel_swarm_matches_serial_with_failures(jobs):
     serial = explore_swarm(_failing_on_lost_update, num_runs=30)
-    parallel = parallel_swarm(_failing_on_lost_update, num_runs=30, jobs=jobs)
+    parallel = explore_swarm(_failing_on_lost_update, num_runs=30, jobs=jobs)
     assert serial.failures  # the racy schedule shows up within 30 seeds
     assert parallel.signature() == serial.signature()
     if jobs > 1:
@@ -108,7 +103,7 @@ def test_parallel_swarm_matches_serial_with_failures(jobs):
 
 def test_parallel_swarm_stop_on_failure_matches_serial_and_counts():
     serial = explore_swarm(_failing_on_lost_update, num_runs=50, stop_on_failure=True)
-    parallel = parallel_swarm(
+    parallel = explore_swarm(
         _failing_on_lost_update, num_runs=50, stop_on_failure=True, jobs=3
     )
     assert parallel.signature() == serial.signature()
@@ -132,7 +127,7 @@ def test_parallel_swarm_stop_on_failure_matches_serial_and_counts():
 @pytest.mark.parametrize("jobs", JOBS)
 def test_parallel_exhaustive_matches_serial(program, jobs):
     serial = explore_exhaustive(program, max_runs=5000)
-    parallel = parallel_exhaustive(program, max_runs=5000, jobs=jobs)
+    parallel = explore_exhaustive(program, max_runs=5000, jobs=jobs)
     assert serial.exhausted and parallel.exhausted
     assert parallel.signature() == serial.signature()
     # canonical merge order == serial DFS emission order, run for run
@@ -141,13 +136,13 @@ def test_parallel_exhaustive_matches_serial(program, jobs):
 
 def test_parallel_exhaustive_failures_match_serial():
     serial = explore_exhaustive(_failing_on_lost_update, max_runs=5000)
-    parallel = parallel_exhaustive(_failing_on_lost_update, max_runs=5000, jobs=2)
+    parallel = explore_exhaustive(_failing_on_lost_update, max_runs=5000, jobs=2)
     assert serial.failures and serial.exhausted
     assert parallel.signature() == serial.signature()
 
 
 def test_parallel_exhaustive_stop_on_failure():
-    result = parallel_exhaustive(
+    result = explore_exhaustive(
         _failing_on_lost_update, max_runs=5000, stop_on_failure=True, jobs=2
     )
     failure = result.first_failure
@@ -157,7 +152,7 @@ def test_parallel_exhaustive_stop_on_failure():
 
 
 def test_parallel_exhaustive_respects_budget():
-    result = parallel_exhaustive(_racy_counter, max_runs=3, jobs=2, chunk_size=1)
+    result = explore_exhaustive(_racy_counter, max_runs=3, jobs=2, chunk_size=1)
     assert result.num_runs <= 3
     assert not result.exhausted
 
@@ -168,17 +163,18 @@ def test_resolve_program_rejects_non_programs():
 
 
 # ---------------------------------------------------------------------------
-# repro.core wiring
+# Failures over processes
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("jobs", (1, 2))
 def test_check_program_all_schedules_over_processes(jobs):
-    verification = check_program_all_schedules(
-        _failing_on_lost_update, max_runs=5000, jobs=jobs
-    )
-    assert verification.exhausted
-    assert not verification.all_ok
-    assert verification.schedules_run > len(verification.violations)
+    result = explore_exhaustive(_failing_on_lost_update, max_runs=5000, jobs=jobs)
+    assert result.exhausted
+    assert result.failures
+    assert result.num_runs > len(result.failures)
     # crash-style failures carry the error, not a refinement outcome dict
-    assert all(v.error is not None for v in verification.violations)
+    assert all(
+        r.error is not None and getattr(r.error, "details", None) is None
+        for r in result.failures
+    )

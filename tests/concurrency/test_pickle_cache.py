@@ -10,11 +10,8 @@ import pickle
 
 import pytest
 
-from repro.concurrency.parallel import (
-    _OncePickledSource,
-    parallel_exhaustive,
-    parallel_swarm,
-)
+from repro.concurrency import explore_exhaustive, explore_swarm
+from repro.concurrency.parallel import _OncePickledSource
 from repro.harness import ProgramSpec
 
 
@@ -52,19 +49,19 @@ def test_wrapper_replays_cached_bytes():
 
 
 def test_swarm_pickles_spec_once_per_campaign():
-    result = parallel_swarm(_spec(), num_runs=8, jobs=2, chunk_size=2)
+    result = explore_swarm(_spec(), num_runs=8, jobs=2, chunk_size=2)
     assert len(result.runs) == 8
     # 4 chunks dispatched; without the cache this is >= 4.
     assert CountingSpec.pickles["n"] == 1
 
 
 def test_exhaustive_pickles_spec_once_per_campaign():
-    result = parallel_exhaustive(_spec(), max_runs=12, jobs=2, chunk_size=2)
+    result = explore_exhaustive(_spec(), max_runs=12, jobs=2, chunk_size=2)
     assert result.runs
     assert CountingSpec.pickles["n"] == 1
 
 
 def test_cached_source_preserves_campaign_signature():
-    cached = parallel_swarm(_spec(), num_runs=6, jobs=2, chunk_size=2)
-    serial = parallel_swarm(_spec(), num_runs=6, jobs=1)
+    cached = explore_swarm(_spec(), num_runs=6, jobs=2, chunk_size=2)
+    serial = explore_swarm(_spec(), num_runs=6, jobs=1)
     assert cached.signature() == serial.signature()

@@ -8,7 +8,6 @@ from repro.concurrency import (
     Lock,
     SharedCell,
     explore_exhaustive,
-    parallel_exhaustive,
 )
 from repro.concurrency.reduction import (
     EXIT,
@@ -189,7 +188,7 @@ def test_serial_and_parallel_reduced_agree():
     serial = explore_exhaustive(
         _disjoint_program, max_runs=100_000, reducer=_IND
     )
-    par = parallel_exhaustive(
+    par = explore_exhaustive(
         _disjoint_program, max_runs=100_000, jobs=2, chunk_size=4,
         reducer=_IND,
     )

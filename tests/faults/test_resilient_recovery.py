@@ -12,12 +12,8 @@ import multiprocessing
 
 import pytest
 
-from repro.concurrency import Kernel, SharedCell
-from repro.concurrency.parallel import (
-    ExplorationTimeout,
-    parallel_exhaustive,
-    parallel_swarm,
-)
+from repro.concurrency import Kernel, SharedCell, explore_exhaustive, explore_swarm
+from repro.concurrency.parallel import ExplorationTimeout
 from repro.faults import CRASH, HANG, Fault, FaultPlan, TaskFaults
 from repro.harness import ProgramSpec
 
@@ -65,12 +61,12 @@ class HangEveryAttempt:
 
 @pytest.fixture(scope="module")
 def serial_swarm():
-    return parallel_swarm(SPEC, num_runs=12, jobs=1)
+    return explore_swarm(SPEC, num_runs=12, jobs=1)
 
 
 def test_crash_recovery_is_signature_identical(serial_swarm):
     plan = FaultPlan(seed=1, faults=(Fault(CRASH, task=1),))
-    result = parallel_swarm(
+    result = explore_swarm(
         SPEC, num_runs=12, jobs=2, faults=plan,
         timeout=10.0, max_retries=2, backoff_base=0.01,
     )
@@ -81,7 +77,7 @@ def test_crash_recovery_is_signature_identical(serial_swarm):
 
 def test_hang_recovery_via_watchdog(serial_swarm):
     plan = FaultPlan(seed=2, faults=(Fault(HANG, task=2, seconds=30.0),))
-    result = parallel_swarm(
+    result = explore_swarm(
         SPEC, num_runs=12, jobs=2, faults=plan,
         timeout=1.5, max_retries=2, backoff_base=0.01,
     )
@@ -93,7 +89,7 @@ def test_hang_recovery_via_watchdog(serial_swarm):
 def test_crash_and_hang_together(serial_swarm):
     plan = FaultPlan(seed=3, faults=(Fault(CRASH, task=0),
                                      Fault(HANG, task=3, seconds=30.0)))
-    result = parallel_swarm(
+    result = explore_swarm(
         SPEC, num_runs=12, jobs=2, faults=plan,
         timeout=1.5, max_retries=2, backoff_base=0.01,
     )
@@ -102,7 +98,7 @@ def test_crash_and_hang_together(serial_swarm):
 
 
 def test_terminal_hang_becomes_exploration_timeout():
-    result = parallel_swarm(
+    result = explore_swarm(
         SPEC, num_runs=2, jobs=2, chunk_size=1,
         faults=HangEveryAttempt(0), timeout=0.7, max_retries=1,
         backoff_base=0.01,
@@ -125,7 +121,7 @@ def test_split_isolation_rescues_the_healthy_majority(serial_swarm):
     # Hang one *chunk* serial on every attempt: the pool splits the chunk
     # into singletons (fresh serials -> no longer targeted), so every seed
     # still completes and the signature stays serial-identical.
-    result = parallel_swarm(
+    result = explore_swarm(
         SPEC, num_runs=12, jobs=2, faults=HangEveryAttempt(1),
         timeout=0.7, max_retries=1, backoff_base=0.01,
     )
@@ -135,10 +131,10 @@ def test_split_isolation_rescues_the_healthy_majority(serial_swarm):
 
 
 def test_exhaustive_crash_recovery_matches_serial():
-    serial = parallel_exhaustive(_racy_counter, max_runs=5000, jobs=1)
+    serial = explore_exhaustive(_racy_counter, max_runs=5000, jobs=1)
     assert serial.exhausted
     plan = FaultPlan(seed=4, faults=(Fault(CRASH, task=1),))
-    faulted = parallel_exhaustive(
+    faulted = explore_exhaustive(
         _racy_counter, max_runs=5000, jobs=2, chunk_size=4, faults=plan,
         timeout=10.0, max_retries=2, backoff_base=0.01,
     )
@@ -148,7 +144,7 @@ def test_exhaustive_crash_recovery_matches_serial():
 
 
 def test_exhaustive_terminal_hang_marks_non_exhausted():
-    result = parallel_exhaustive(
+    result = explore_exhaustive(
         _racy_counter, max_runs=5000, jobs=2, chunk_size=4,
         faults=HangEveryAttempt(0), timeout=0.7, max_retries=0,
         backoff_base=0.01,
@@ -163,7 +159,7 @@ def test_exhaustive_terminal_hang_marks_non_exhausted():
 def test_interruptions_do_not_change_signature(serial_swarm):
     # signature() must ignore the incident trail: equal runs, equal digest
     plan = FaultPlan(seed=1, faults=(Fault(CRASH, task=1),))
-    faulted = parallel_swarm(
+    faulted = explore_swarm(
         SPEC, num_runs=12, jobs=2, faults=plan,
         timeout=10.0, max_retries=2, backoff_base=0.01,
     )

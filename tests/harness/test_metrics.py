@@ -1,47 +1,6 @@
-"""Measurement helpers: clock-explicit timers, honest mean, table alignment."""
+"""Aggregation and table helpers: honest mean, table alignment."""
 
-import time
-
-from repro.harness import (
-    CpuTimer,
-    WallTimer,
-    fmt,
-    mean,
-    render_table,
-    time_call_cpu,
-    time_call_wall,
-)
-
-
-# -- timers: the cpu/wall split -----------------------------------------------
-
-
-def test_cpu_timer_accumulates_busy_work():
-    timer = CpuTimer()
-    with timer.measure():
-        sum(range(200_000))
-    first = timer.elapsed
-    assert first > 0.0
-    with timer.measure():
-        sum(range(200_000))
-    assert timer.elapsed > first  # accumulates across uses
-
-
-def test_wall_timer_sees_sleeps_cpu_timer_does_not():
-    cpu = CpuTimer()
-    wall = WallTimer()
-    with cpu.measure(), wall.measure():
-        time.sleep(0.05)
-    assert wall.elapsed >= 0.045
-    # process_time does not advance while sleeping
-    assert cpu.elapsed < wall.elapsed
-
-
-def test_time_call_variants_return_result_and_seconds():
-    result, cpu_seconds = time_call_cpu(sum, range(1000))
-    assert result == 499500 and cpu_seconds >= 0.0
-    result, wall_seconds = time_call_wall(time.sleep, 0.02)
-    assert result is None and wall_seconds >= 0.015
+from repro.harness import fmt, mean, render_table
 
 
 # -- mean ---------------------------------------------------------------------

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.concurrency import Kernel, explore_exhaustive
-from repro.concurrency.parallel import parallel_exhaustive
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -47,7 +46,7 @@ def _tree_program(shape, scheduler):
 def test_parallel_exhaustive_equals_serial_on_decision_trees(shape, jobs):
     program = partial(_tree_program, tuple(shape))
     serial = explore_exhaustive(program, max_runs=5000)
-    parallel = parallel_exhaustive(program, max_runs=5000, jobs=jobs)
+    parallel = explore_exhaustive(program, max_runs=5000, jobs=jobs)
     assert serial.exhausted and parallel.exhausted
     assert parallel.signature() == serial.signature()
     # distinct interleavings covered, none duplicated
