@@ -293,45 +293,65 @@ class BoxwoodCache:
     VYRD_CONFLUENT_HELPERS = ("_clean_cell", "_dirty_cell", "_make_new_entry")
 
 
+def _handle_of(loc: str) -> Optional[str]:
+    """The handle a cache or chunk location belongs to, else ``None``.
+
+    Every relevant location name embeds its handle --
+    ``cache.ent<id>@<handle>.<field>``, ``cache.clean[<handle>]``,
+    ``cache.dirty[<handle>]``, ``chunk[<handle>].<field>`` -- so the view's
+    and the invariants' dependency mappings are purely syntactic.
+    """
+    if loc.startswith("cache.ent"):
+        at = loc.find("@")
+        return loc[at + 1 : loc.find(".", at)]
+    if loc.startswith(("cache.clean[", "cache.dirty[")):
+        return loc[loc.find("[") + 1 : loc.find("]")]
+    if loc.startswith("chunk["):
+        return loc[6 : loc.find("]")]
+    return None
+
+
+def _entry_bytes(state, handle: str, entry_id: int, block_size: int) -> tuple:
+    return tuple(
+        state.get(f"cache.ent{entry_id}@{handle}.data[{i}]", 0)
+        for i in range(block_size)
+    )
+
+
 def cache_view(block_size: int = 8) -> ContributionView:
     """``viewI`` for Cache + Chunk Manager (paper section 7.2.1).
 
     The abstract store maps each handle to its current byte array: the dirty
     entry's bytes if one exists, else the clean entry's, else the chunk's.
-    Unit = handle; every relevant location name embeds the handle, so the
-    incremental dependency mapping is purely syntactic.
+    Unit = handle (:func:`_handle_of`).
     """
-
-    def unit_of(loc: str) -> Optional[str]:
-        if loc.startswith("cache.ent"):
-            at = loc.find("@")
-            dot = loc.find(".", at)
-            return loc[at + 1 : dot]
-        if loc.startswith("cache.clean[") or loc.startswith("cache.dirty["):
-            return loc[loc.find("[") + 1 : loc.find("]")]
-        if loc.startswith("chunk["):
-            return loc[6 : loc.find("]")]
-        return None
-
-    def entry_bytes(state, handle: str, entry_id: int) -> tuple:
-        return tuple(
-            state.get(f"cache.ent{entry_id}@{handle}.data[{i}]", 0)
-            for i in range(block_size)
-        )
 
     def contribute(state, handle: str):
         de = state.get(f"cache.dirty[{handle}]")
         if de is not None:
-            return (handle, entry_bytes(state, handle, de))
+            return (handle, _entry_bytes(state, handle, de, block_size))
         ce = state.get(f"cache.clean[{handle}]")
         if ce is not None:
-            return (handle, entry_bytes(state, handle, ce))
+            return (handle, _entry_bytes(state, handle, ce, block_size))
         data = state.get(f"chunk[{handle}].data")
         if data is not None:
             return (handle, data)
         return None
 
-    return ContributionView(unit_of=unit_of, contribute=contribute, aggregate="list")
+    return ContributionView(unit_of=_handle_of, contribute=contribute, aggregate="list")
+
+
+def _list_cell_handle(loc: str) -> Optional[str]:
+    """Invariant (ii)'s unit map: only the cells it reads -- the two list
+    cells and each entry's ``published``/``retired`` flags -- name a
+    handle; entry data and chunk cells do not."""
+    if loc.startswith("cache.ent"):
+        if loc.endswith((".published", ".retired")):
+            return _handle_of(loc)
+        return None
+    if loc.startswith(("cache.clean[", "cache.dirty[")):
+        return _handle_of(loc)
+    return None
 
 
 def cache_invariants(block_size: int = 8) -> List[Invariant]:
@@ -339,39 +359,62 @@ def cache_invariants(block_size: int = 8) -> List[Invariant]:
 
     (i)  a clean entry's bytes equal the corresponding chunk's bytes;
     (ii) a published, unretired entry is in exactly one of the lists.
+
+    Both come in a per-unit form keyed by handle, so the checker evaluates
+    only the handles a commit touched.
     """
 
+    def clean_unit_matches_chunk(state, spec, handle: str, locs=()) -> bool:
+        entry_id = state.get(f"cache.clean[{handle}]")
+        return entry_id is None or state.get(f"chunk[{handle}].data") == _entry_bytes(
+            state, handle, entry_id, block_size
+        )
+
     def clean_matches_chunk(state, spec) -> bool:
-        for loc, entry_id in state.items_with_prefix("cache.clean["):
-            if entry_id is None:
-                continue
-            handle = loc[loc.find("[") + 1 : loc.find("]")]
-            chunk = state.get(f"chunk[{handle}].data")
-            cached = tuple(
-                state.get(f"cache.ent{entry_id}@{handle}.data[{i}]", 0)
-                for i in range(block_size)
-            )
-            if chunk != cached:
-                return False
-        return True
+        return all(
+            clean_unit_matches_chunk(state, spec, _handle_of(loc))
+            for loc, entry_id in state.items_with_prefix("cache.clean[")
+            if entry_id is not None
+        )
+
+    def listed_once(state, published_loc: str, handle: str) -> bool:
+        """Checked at an entry's ``published`` cell: unpublished or retired
+        entries pass; any other must be on exactly one of the lists."""
+        if not state.get(published_loc):
+            return True
+        base = published_loc[: -len(".published")]
+        if state.get(f"{base}.retired"):
+            return True
+        entry_id = int(base[len("cache.ent") : base.find("@")])
+        on_clean = state.get(f"cache.clean[{handle}]") == entry_id
+        on_dirty = state.get(f"cache.dirty[{handle}]") == entry_id
+        return on_clean != on_dirty  # neither, or both, fails
+
+    def entry_unit_in_exactly_one_list(state, spec, handle: str, locs) -> bool:
+        return all(
+            listed_once(state, loc, handle)
+            for loc in locs
+            if loc.endswith(".published")
+        )
 
     def entry_in_exactly_one_list(state, spec) -> bool:
-        for loc, published in state.items_with_prefix("cache.ent"):
-            if not loc.endswith(".published") or not published:
-                continue
-            base = loc[: -len(".published")]
-            if state.get(f"{base}.retired"):
-                continue
-            at = base.find("@")
-            entry_id = int(base[len("cache.ent") : at])
-            handle = base[at + 1 :]
-            on_clean = state.get(f"cache.clean[{handle}]") == entry_id
-            on_dirty = state.get(f"cache.dirty[{handle}]") == entry_id
-            if on_clean == on_dirty:  # neither, or both
-                return False
-        return True
+        return all(
+            listed_once(state, loc, _handle_of(loc))
+            for loc, _ in state.items_with_prefix("cache.ent")
+            if loc.endswith(".published")
+        )
 
     return [
-        Invariant("cache.clean-matches-chunk", clean_matches_chunk),
-        Invariant("cache.entry-in-exactly-one-list", entry_in_exactly_one_list),
+        Invariant(
+            "cache.clean-matches-chunk",
+            clean_matches_chunk,
+            unit_of=_handle_of,
+            check_unit=clean_unit_matches_chunk,
+        ),
+        Invariant(
+            "cache.entry-in-exactly-one-list",
+            entry_in_exactly_one_list,
+            unit_of=_list_cell_handle,
+            check_unit=entry_unit_in_exactly_one_list,
+        ),
     ]

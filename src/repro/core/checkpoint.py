@@ -3,7 +3,8 @@
 A long log (or a crashed ``repro.serve`` daemon) should not force
 re-verification from record zero: everything the checker knows at a log
 position is finite, deterministic state -- the spec instance, the
-incremental-view caches, the differential comparator's mismatch set, the
+incremental-view caches, the differential comparator's mismatch set, each
+per-unit invariant's dirty units, failing units and unit index, the
 replayed implementation state with its open undo maps, the pending observer
 windows, and the lookahead buffer of actions awaiting their return values.
 A :class:`Checkpoint` captures exactly that, content-addressed so a torn or
@@ -29,8 +30,12 @@ Design constraints
 File layout::
 
     VYRDCKPT1\\n
-    {"meta": {...}, "sha256": "...", "version": 1}\\n
+    {"meta": {...}, "sha256": "...", "version": 2}\\n
     <pickle bytes>
+
+Version 2 added the per-unit invariant state to the payload.  A version-1
+blob lacks it, so it is rejected like any other unsupported version and the
+caller falls back to record zero.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 MAGIC = b"VYRDCKPT1\n"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(Exception):

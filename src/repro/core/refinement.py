@@ -15,7 +15,8 @@ Processing rules per action type:
 ``Call``
     open an execution record; observers additionally open a window.
 ``Write`` / ``Replay``
-    advance the replayed state and dirty the view (view mode only).
+    advance the replayed state and dirty the view (view mode only) and the
+    units of every per-unit invariant.
 ``Commit`` (with ``op_id``)
     the heart of I/O refinement: look up the execution's return value
     (the checker waits until the return is available -- the "look ahead in
@@ -60,7 +61,7 @@ from .actions import (
 )
 from ..obs import NULL_RECORDER, Recorder
 from .checkpoint import Checkpoint, CheckpointError
-from .invariants import Invariant
+from .invariants import Invariant, UnitInvariantState
 from .log import Log
 from .observer import ObserverTracker
 from .replay import ReplayState
@@ -316,7 +317,9 @@ class RefinementChecker:
         computing ``viewI`` from the replayed state.
     invariants:
         :class:`~repro.core.invariants.Invariant` objects evaluated at every
-        commit (available in both modes; they force state replay on).
+        commit (available in both modes; they force state replay on).  An
+        invariant with a per-unit form is evaluated only over the units
+        written since the last state check.
     replay_registry:
         ``tag -> routine(state, payload)`` for coarse-grained log entries.
     stop_at_first:
@@ -324,7 +327,9 @@ class RefinementChecker:
         time-to-detection methodology); set ``False`` to collect all.
     final_full_check:
         In view mode, cross-check the incremental view against a
-        from-scratch recomputation and the spec view when the log ends.
+        from-scratch recomputation and the spec view when the log ends;
+        in both modes, cross-check every per-unit invariant's failing set
+        against one full evaluation.
     view_at:
         When to compare ``viewI``/``viewS`` in view mode: ``"commit"`` (the
         paper's choice -- at every commit action) or ``"quiescent"`` (only
@@ -364,6 +369,15 @@ class RefinementChecker:
         self.mode = mode
         self.impl_view = impl_view
         self.invariants = list(invariants)
+        # per invariant: its running per-unit evaluation, or None (full form)
+        self._invariant_states = [
+            UnitInvariantState(invariant) if invariant.per_unit else None
+            for invariant in self.invariants
+        ]
+        self._unit_invariants = tuple(
+            unit_state for unit_state in self._invariant_states
+            if unit_state is not None
+        )
         self.stop_at_first = stop_at_first
         self.final_full_check = final_full_check
         self.view_at = view_at
@@ -452,11 +466,14 @@ class RefinementChecker:
             self._process_call(seq, action)
         elif isinstance(action, WriteAction):
             if self._track_state:
-                self.replay.apply_write(action.tid, action.loc, action.old, action.new)
+                loc = action.loc
+                self.replay.apply_write(action.tid, loc, action.old, action.new)
                 if self.obs.enabled:
                     self.obs.count("replay.writes")
                 if self.impl_view is not None:
-                    self.impl_view.on_write(action.loc)
+                    self.impl_view.on_write(loc)
+                for unit_state in self._unit_invariants:
+                    unit_state.on_write(loc)
         elif isinstance(action, ReplayAction):
             if self._track_state:
                 if self.obs.enabled:
@@ -474,6 +491,9 @@ class RefinementChecker:
                 if self.impl_view is not None:
                     for loc in written:
                         self.impl_view.on_write(loc)
+                for unit_state in self._unit_invariants:
+                    for loc in written:
+                        unit_state.on_write(loc)
         elif isinstance(action, BeginCommitBlockAction):
             if self._track_state:
                 try:
@@ -590,18 +610,25 @@ class RefinementChecker:
         if obs.enabled:
             obs.count("replay.overlays")
             obs.observe("replay.overlay_locs", state.overlay_size)
-        if self.mode == VIEW_MODE and (
+        refresh_view = self.mode == VIEW_MODE and (
             self.view_at == "commit" or where != "commit action"
-        ):
-            extra_dirty = self.replay.open_block_locs(excluding_tid=tid)
+        )
+        # locations rolled back by other threads' open commit blocks: the
+        # view and the per-unit invariants revisit their units
+        shadowed = (
+            self.replay.open_block_locs(excluding_tid=tid)
+            if refresh_view or self._unit_invariants
+            else ()
+        )
+        if refresh_view:
             if obs.enabled:
                 with obs.span("checker.view_refresh", cat="checker", tid=tid):
-                    view_impl = self.impl_view.refresh(state, extra_dirty)
+                    view_impl = self.impl_view.refresh(state, shadowed)
                 recomputed = getattr(self.impl_view, "last_recomputed", None)
                 if recomputed is not None:
                     obs.observe("view.units_recomputed", recomputed)
             else:
-                view_impl = self.impl_view.refresh(state, extra_dirty)
+                view_impl = self.impl_view.refresh(state, shadowed)
             comparator = self._comparator
             ok, diff = comparator.compare(view_impl)
             if obs.enabled:
@@ -618,15 +645,27 @@ class RefinementChecker:
                     diff=diff,
                 )
                 return
-        for invariant in self.invariants:
-            if not invariant.holds(state, self.spec):
-                self._violate(
-                    ViolationKind.INVARIANT,
-                    seq,
-                    f"invariant {invariant.name!r} violated at commit action",
-                    signature,
-                )
-                return
+        units_checked = 0
+        for invariant, unit_state in zip(self.invariants, self._invariant_states):
+            if unit_state is None:
+                if invariant.holds(state, self.spec):
+                    continue
+                details = {}
+            else:
+                units_checked += unit_state.evaluate(state, self.spec, shadowed)
+                if not unit_state.failing:
+                    continue
+                details = {"units": sorted(unit_state.failing, key=repr)[:6]}
+            self._violate(
+                ViolationKind.INVARIANT,
+                seq,
+                f"invariant {invariant.name!r} violated at commit action",
+                signature,
+                **details,
+            )
+            break
+        if obs.enabled and self._unit_invariants:
+            obs.observe("invariants.units_checked", units_checked)
 
     def _process_return(self, seq: int, action: ReturnAction) -> None:
         self.outcome.methods_checked += 1
@@ -689,16 +728,19 @@ class RefinementChecker:
             "spec_type": type(self.spec).__name__,
             "impl_view_type": type(self.impl_view).__name__ if self.impl_view else None,
             "invariants": sorted(inv.name for inv in self.invariants),
+            "unit_invariants": sorted(
+                unit_state.invariant.name for unit_state in self._unit_invariants
+            ),
         }
 
     def checkpoint(self, meta: Optional[Dict[str, Any]] = None) -> Checkpoint:
         """Capture everything needed to resume checking at ``_next_seq``.
 
         The checkpoint carries data only (spec instance, view caches,
-        comparator state, replayed state, observer windows, the lookahead
-        buffer); code -- view factories, replay routines, invariants -- is
-        rebuilt by constructing a fresh checker from the same program
-        registry and calling :meth:`restore` on it.
+        comparator state, per-unit invariant state, replayed state, observer
+        windows, the lookahead buffer); code -- view factories, replay
+        routines, invariants -- is rebuilt by constructing a fresh checker
+        from the same program registry and calling :meth:`restore` on it.
         """
         payload: Dict[str, Any] = {
             "config": self._config_fingerprint(),
@@ -719,6 +761,9 @@ class RefinementChecker:
             "comparator": (
                 self._comparator.state_dict() if self._comparator is not None else None
             ),
+            "unit_invariants": [
+                unit_state.state_dict() for unit_state in self._unit_invariants
+            ],
         }
         full_meta = {"resume_seq": self._next_seq}
         if meta:
@@ -757,8 +802,31 @@ class RefinementChecker:
             self.impl_view.load_state(payload["impl_view"])
         if self._comparator is not None and payload["comparator"] is not None:
             self._comparator.load_state(payload["comparator"], self.spec)
+        for unit_state, saved in zip(self._unit_invariants, payload["unit_invariants"]):
+            unit_state.load_state(saved)
 
     # -- finishing ---------------------------------------------------------------------
+
+    def _check_unit_invariant_drift(self) -> None:
+        """One full evaluation of every per-unit invariant over the final
+        state must agree with its reconciled failing set; a disagreement
+        means ``unit_of`` misses a location the invariant reads.  This only
+        ever reports INSTRUMENTATION, never INVARIANT."""
+        state = self.replay.effective(None)
+        shadowed = self.replay.open_block_locs(None)
+        drifted = []
+        for unit_state in self._unit_invariants:
+            unit_state.evaluate(state, self.spec, shadowed)
+            if unit_state.invariant.holds(state, self.spec) == bool(unit_state.failing):
+                drifted.append(unit_state.invariant.name)
+        if drifted:
+            self.outcome.stats["invariant_drift"] = drifted
+            self._violate(
+                ViolationKind.INSTRUMENTATION,
+                self._next_seq,
+                "invariant unit map incomplete: per-unit evaluation of "
+                f"{', '.join(map(repr, drifted))} disagrees with the full check",
+            )
 
     def finish(self) -> CheckOutcome:
         """Declare the log complete and return the final outcome."""
@@ -811,6 +879,13 @@ class RefinementChecker:
                         "differential comparator drifted from full comparison "
                         "(a spec mutator or view is under-reporting touched keys)",
                     )
+        if (
+            self._unit_invariants
+            and not self._stopped
+            and self.final_full_check
+            and not self.outcome.incomplete
+        ):
+            self._check_unit_invariant_drift()
         self.outcome.stats.setdefault("pending_observers", self._observers.pending_count())
         return self.outcome
 

@@ -282,7 +282,9 @@ def _build_parser() -> argparse.ArgumentParser:
     check_parser.add_argument("--checkpoint-every", type=int, metavar="N",
                               default=0,
                               help="write a rolling checkpoint after every N "
-                                   "processed records (requires --checkpoint)")
+                                   "processed records (requires --checkpoint); "
+                                   "the last one lands on the last multiple "
+                                   "of N")
     check_parser.add_argument("--checkpoint", metavar="PATH",
                               help="checkpoint file to write (with "
                                    "--checkpoint-every) or to update on "
@@ -914,8 +916,10 @@ def _cmd_check(args) -> int:
     if every and args.checkpoint:
         meta = {"program": args.program, "mode": mode, "log": args.log}
         for index in range(0, len(actions), every):
-            checker.feed(actions[index:index + every])
-            checker.checkpoint(meta=meta).save(args.checkpoint)
+            chunk = actions[index:index + every]
+            checker.feed(chunk)
+            if len(chunk) == every:
+                checker.checkpoint(meta=meta).save(args.checkpoint)
     else:
         checker.feed(actions)
         if args.checkpoint:

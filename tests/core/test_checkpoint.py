@@ -1,5 +1,7 @@
 """Checkpoint format, integrity rejection, and checker save/restore parity."""
 
+import json
+
 import pytest
 
 from repro.core import (
@@ -11,8 +13,11 @@ from repro.core import (
     ReturnAction,
     WriteAction,
     checkpoint_blob_name,
+    load_log,
 )
 from repro.core.checkpoint import FORMAT_VERSION, MAGIC
+from repro.serve import session_checkers
+from repro.tools.cli import main
 
 from test_refinement_unit import RegisterSpec, _op, register_view
 
@@ -125,6 +130,48 @@ def test_restore_rejects_mismatched_configuration():
     io_checker = RefinementChecker(RegisterSpec(), mode="io")
     with pytest.raises(CheckpointError, match="config"):
         io_checker.restore(checkpoint)
+
+
+def test_version_one_checkpoint_is_rejected_and_check_falls_back(tmp_path, capsys):
+    """Format 2 added the per-unit invariant state.  A version-1 checkpoint
+    lacks it, so it must be refused with the typed error -- never a
+    ``KeyError``, never a restore with an empty unit index -- and ``check
+    --resume`` falls back to record zero with the straight verdict."""
+    log_path = str(tmp_path / "cache.vlog")
+    main(["run", "--program", "cache", "--buggy", "--threads", "4",
+          "--calls", "30", "--seed", "3", "--save", log_path])
+    capsys.readouterr()
+    make_checker, _ = session_checkers("cache", stop_at_first=False)
+    first = make_checker()
+    first.feed(list(load_log(log_path))[:500])
+    checkpoint = first.checkpoint(meta={"program": "cache"})
+    assert checkpoint.payload["unit_invariants"]
+
+    # the version-1 header is refused before the payload is read
+    version_one = checkpoint.to_bytes().replace(
+        f'"version": {FORMAT_VERSION}'.encode(), b'"version": 1'
+    )
+    with pytest.raises(CheckpointError, match="version"):
+        Checkpoint.from_bytes(version_one)
+    # a version-1 payload fails the configuration check, not with KeyError
+    payload = dict(checkpoint.payload)
+    del payload["unit_invariants"]
+    payload["config"] = dict(payload["config"])
+    del payload["config"]["unit_invariants"]
+    with pytest.raises(CheckpointError, match="config"):
+        make_checker().restore(Checkpoint(payload=payload, meta=checkpoint.meta))
+
+    stale = tmp_path / "v1.vyrdckpt"
+    stale.write_bytes(version_one)
+    assert main(["check", log_path, "--program", "cache", "--all",
+                 "--json"]) == 1
+    straight = json.loads(capsys.readouterr().out)
+    assert main(["check", log_path, "--program", "cache", "--all",
+                 "--resume", str(stale), "--json"]) == 1
+    fallback = json.loads(capsys.readouterr().out)
+    resume = fallback.pop("resume")
+    assert resume["resume_seq"] == 0 and "version" in resume["rejected"]
+    assert fallback == straight
 
 
 def test_checkpoint_preserves_buffered_lookahead():

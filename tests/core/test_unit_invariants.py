@@ -1,0 +1,106 @@
+"""The per-unit invariant contract and the checker's end-of-run drift check."""
+
+import dataclasses
+
+import pytest
+
+from repro.core import (
+    CallAction,
+    CommitAction,
+    Invariant,
+    Log,
+    ReturnAction,
+    ViolationKind,
+    WriteAction,
+    check_log,
+)
+
+from test_refinement_unit import RegisterSpec
+
+
+def _all_cells_nonnegative(state, spec):
+    return all(value >= 0 for _, value in state.items_with_prefix("cell["))
+
+
+def _cell_nonnegative(state, spec, unit, locs):
+    return all(state.get(loc, 0) >= 0 for loc in locs)
+
+
+def _cells_invariant(unit_of):
+    return Invariant(
+        "cells-nonnegative", _all_cells_nonnegative,
+        unit_of=unit_of, check_unit=_cell_nonnegative,
+    )
+
+
+def _every_cell(loc):
+    return loc if loc.startswith("cell[") else None
+
+
+def _only_cell_zero(loc):
+    return loc if loc == "cell[0]" else None
+
+
+def _set(op_id, *writes):
+    """One ``set`` execution whose body writes ``(loc, value)`` pairs."""
+    return [
+        CallAction(0, op_id, "set", (op_id,)),
+        *(WriteAction(0, op_id, loc, None, value) for loc, value in writes),
+        CommitAction(0, op_id),
+        ReturnAction(0, op_id, "set", True),
+    ]
+
+
+def test_unit_form_comes_as_a_pair():
+    with pytest.raises(TypeError, match="together"):
+        Invariant("half", _all_cells_nonnegative, unit_of=_every_cell)
+    with pytest.raises(TypeError, match="together"):
+        Invariant("half", _all_cells_nonnegative, check_unit=_cell_nonnegative)
+    invariant = _cells_invariant(_every_cell)
+    assert invariant.per_unit
+    full_only = dataclasses.replace(invariant, unit_of=None, check_unit=None)
+    assert not full_only.per_unit
+    assert full_only.check is invariant.check
+
+
+def test_broken_unit_is_reported_at_every_later_check():
+    log = Log(_set(0, ("cell[1]", -1)) + _set(1, ("cell[2]", 5)) + _set(2))
+    outcome = check_log(
+        log, RegisterSpec(), mode="io",
+        invariants=[_cells_invariant(_every_cell)], stop_at_first=False,
+    )
+    assert [(v.kind, v.seq) for v in outcome.violations] == [
+        (ViolationKind.INVARIANT, 2),
+        (ViolationKind.INVARIANT, 6),
+        (ViolationKind.INVARIANT, 9),
+    ]
+    assert outcome.first_violation.details["units"] == ["cell[1]"]
+
+
+def test_unit_map_missing_a_read_location_is_instrumentation_at_finish():
+    """``unit_of`` never names cell[1], which the invariant reads: the
+    per-unit form misses the break, and the full check at ``finish()``
+    reports the gap as INSTRUMENTATION, never as INVARIANT."""
+    log = Log(_set(0, ("cell[1]", -1)) + _set(1, ("cell[0]", 3)))
+    outcome = check_log(
+        log, RegisterSpec(), mode="io",
+        invariants=[_cells_invariant(_only_cell_zero)], stop_at_first=False,
+    )
+    assert [(v.kind, v.seq) for v in outcome.violations] == [
+        (ViolationKind.INSTRUMENTATION, len(log)),
+    ]
+    assert "invariant unit map incomplete" in outcome.first_violation.message
+    assert outcome.stats["invariant_drift"] == ["cells-nonnegative"]
+
+
+def test_complete_unit_map_has_no_drift():
+    log = Log(_set(0, ("cell[1]", -1)) + _set(1, ("cell[1]", 4)))
+    outcome = check_log(
+        log, RegisterSpec(), mode="io",
+        invariants=[_cells_invariant(_every_cell)], stop_at_first=False,
+    )
+    # broken at the first commit, repaired at the second: nothing at finish
+    assert [(v.kind, v.seq) for v in outcome.violations] == [
+        (ViolationKind.INVARIANT, 2),
+    ]
+    assert "invariant_drift" not in outcome.stats

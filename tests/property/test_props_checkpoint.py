@@ -2,9 +2,10 @@
 the outcome is identical to the straight-through run.
 
 This is the resumability contract of the whole checkpoint payload: spec
-state, impl-view caches, comparator mismatch set, replay undo maps,
-observer windows and the lookahead buffer all have to survive
-serialization for *every* cut point, on clean and seeded-bug runs alike.
+state, impl-view caches, comparator mismatch set, per-unit invariant
+state, replay undo maps, observer windows and the lookahead buffer all
+have to survive serialization for *every* cut point, on clean and
+seeded-bug runs alike.
 """
 
 import json
@@ -17,8 +18,9 @@ from repro.harness.runner import run_program
 from repro.serve import session_checkers
 
 # One linked-structure program (the DependencyView path), one
-# ContributionView program, one FunctionView fallback program.
-PROGRAMS = ["blinktree", "multiset-vector", "java-vector"]
+# ContributionView program, one FunctionView fallback program, and the
+# cache, whose invariants carry per-unit state.
+PROGRAMS = ["blinktree", "multiset-vector", "java-vector", "cache"]
 
 
 def _verdict(checker) -> str:
