@@ -29,6 +29,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -74,7 +75,7 @@ def _measure(num_threads: int, calls: int):
     incremental = session.check_offline()
     incremental_cpu = time.process_time() - start
 
-    session.impl_view_factory = _full_cache_view
+    session.plan = replace(session.plan, view_factory=_full_cache_view)
     start = time.process_time()
     full = session.check_offline()
     full_cpu = time.process_time() - start

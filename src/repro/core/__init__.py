@@ -66,6 +66,7 @@ from .log import (
 )
 from .checkpoint import Checkpoint, CheckpointError, checkpoint_blob_name
 from .observer import ObserverTracker, ObserverWindow
+from .plan import CheckPlan
 from .refinement import (
     CheckOutcome,
     RefinementChecker,
@@ -117,6 +118,7 @@ __all__ = [
     "ExhaustiveVerification",
     "Execution",
     "FunctionView",
+    "CheckPlan",
     "ImplView",
     "InstrumentationError",
     "InstrumentedDataStructure",

@@ -7,7 +7,9 @@ incremental-view caches, the differential comparator's mismatch set, each
 per-unit invariant's dirty units, failing units and unit index, the
 replayed implementation state with its open undo maps, the pending observer
 windows, and the lookahead buffer of actions awaiting their return values.
-A :class:`Checkpoint` captures exactly that, content-addressed so a torn or
+The same holds for the race detectors' clocks and locksets, and for the
+call/return history an offline linearizability search will need.  A
+:class:`Checkpoint` captures exactly that, content-addressed so a torn or
 tampered file is *rejected* (typed :class:`CheckpointError`) rather than
 silently resumed from.
 
@@ -15,10 +17,10 @@ Design constraints
 ------------------
 * **Data only.**  View factories, replay routines and invariants are
   closures and do not pickle.  A checkpoint therefore never carries code:
-  :meth:`~repro.core.refinement.RefinementChecker.restore` loads the payload
-  into a *freshly constructed* checker built from the same program registry
-  (same spec class, same view factory), and validates the configuration
-  fingerprint before touching anything.
+  :meth:`~repro.core.plan.PlanChecker.restore` loads the payload into a
+  *freshly built* checker of the same plan (same members, same spec class,
+  same view factory), and each member validates its configuration before
+  touching anything.
 * **Tamper evidence.**  The file format mirrors the log's framing
   philosophy: a magic line, a JSON header carrying the SHA-256 of the
   payload plus open metadata (resume seq, program, chain head digest), then
@@ -30,12 +32,14 @@ Design constraints
 File layout::
 
     VYRDCKPT1\\n
-    {"meta": {...}, "sha256": "...", "version": 2}\\n
+    {"meta": {...}, "sha256": "...", "version": 3}\\n
     <pickle bytes>
 
-Version 2 added the per-unit invariant state to the payload.  A version-1
-blob lacks it, so it is rejected like any other unsupported version and the
-caller falls back to record zero.
+Version 2 added the per-unit invariant state to the refinement payload.
+Version 3 made the payload one entry per checker of the plan (refinement,
+races, linz history; :meth:`~repro.core.plan.PlanChecker.checkpoint`).  An
+older blob is rejected like any other unsupported version and the caller
+falls back to record zero.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 MAGIC = b"VYRDCKPT1\n"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class CheckpointError(Exception):

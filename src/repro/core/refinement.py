@@ -903,16 +903,17 @@ def check_log(
     differential: bool = True,
 ) -> CheckOutcome:
     """Offline convenience: check a complete log in one call."""
-    checker = RefinementChecker(
-        spec,
+    from .plan import CheckPlan  # late: plan -> refinement
+
+    plan = CheckPlan(
         mode=mode,
-        impl_view=impl_view,
-        invariants=invariants,
+        spec_factory=lambda: spec,
+        view_factory=(lambda: impl_view) if impl_view is not None else None,
+        invariants=tuple(invariants),
         replay_registry=replay_registry,
         stop_at_first=stop_at_first,
         final_full_check=final_full_check,
         view_at=view_at,
         differential=differential,
     )
-    checker.feed(log)
-    return checker.finish()
+    return plan.check(log).refinement

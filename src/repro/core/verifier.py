@@ -32,21 +32,21 @@ from typing import Callable, Iterable, Optional
 
 from ..concurrency.kernel import Kernel, SimThread
 from ..obs import NULL_RECORDER, Recorder
-from .instrument import (
-    IO_LEVEL,
-    VIEW_LEVEL,
-    InstrumentedDataStructure,
-    VyrdTracer,
-)
+from .instrument import InstrumentedDataStructure, VyrdTracer
 from .invariants import Invariant
 from .log import Log
+from .plan import CheckPlan, PlanOutcome
 from .refinement import IO_MODE, VIEW_MODE, CheckOutcome, RefinementChecker
 from .spec import Specification
 from .view import ImplView
 
 
 class Vyrd:
-    """One verification session: a log, a tracer and checker factories.
+    """One verification session: a log, a tracer and its check plan.
+
+    The plan (:class:`~repro.core.plan.CheckPlan`, ``self.plan``) is built
+    once, here, from the arguments below; every checker the session creates
+    comes from it.
 
     Parameters
     ----------
@@ -58,7 +58,8 @@ class Vyrd:
     impl_view_factory:
         Builds a fresh :class:`ImplView`; required in view mode.
     invariants:
-        Runtime invariants evaluated at every commit.
+        Runtime invariants evaluated at every commit, in either mode (only
+        :meth:`check_offline_with_mode` drops them in io mode).
     replay_registry:
         Routines for coarse-grained log entries, ``tag -> fn(state, payload)``.
     log_level:
@@ -79,7 +80,8 @@ class Vyrd:
         a callable supplies a different spec factory for the
         linearization search (e.g. a strict variant of a permissive
         refinement spec).  Read the verdict with
-        :meth:`check_linearizability`.
+        :meth:`check_linearizability`, or from the online verifier's
+        :meth:`OnlineVerifier.finish`.
     obs:
         Observability recorder (:mod:`repro.obs`); flows into the tracer and
         every checker this session creates.  Pass the same recorder to the
@@ -110,33 +112,26 @@ class Vyrd:
     ):
         if mode == VIEW_MODE and impl_view_factory is None:
             raise ValueError("view mode requires impl_view_factory")
-        self.spec_factory = spec_factory
-        self.mode = mode
-        self.impl_view_factory = impl_view_factory
-        self.invariants = tuple(invariants)
-        self.replay_registry = dict(replay_registry or {})
-        if races:
-            from ..races import normalize_detectors
-
-            self.races = normalize_detectors(races)
-            log_locks = log_reads = True
-        else:
-            self.races = None
-        self.atomic_locs = tuple(atomic_locs)
-        if callable(linearizability):
-            self.linearizability = True
-            self.linz_spec_factory = linearizability
-        else:
-            self.linearizability = bool(linearizability)
-            self.linz_spec_factory = spec_factory
-        needs_state = mode == VIEW_MODE or bool(self.invariants)
-        level = log_level if log_level is not None else (
-            VIEW_LEVEL if needs_state else IO_LEVEL
-        )
         self.obs: Recorder = obs if obs is not None else NULL_RECORDER
+        self.plan = CheckPlan(
+            mode=mode,
+            spec_factory=spec_factory,
+            view_factory=impl_view_factory,
+            invariants=tuple(invariants),
+            replay_registry=dict(replay_registry or {}),
+            races=races,
+            atomic_locs=tuple(atomic_locs),
+            linz=bool(linearizability),
+            linz_spec_factory=linearizability if callable(linearizability) else None,
+            obs=self.obs,
+        )
+        flags = self.plan.log_flags
         self.log = log if log is not None else Log()
         self.tracer = VyrdTracer(
-            self.log, level=level, log_locks=log_locks, log_reads=log_reads,
+            self.log,
+            level=log_level if log_level is not None else flags["log_level"],
+            log_locks=log_locks or flags["log_locks"],
+            log_reads=log_reads or flags["log_reads"],
             obs=self.obs,
         )
 
@@ -148,71 +143,46 @@ class Vyrd:
 
     # -- checking ----------------------------------------------------------------
 
-    def new_checker(self, stop_at_first: bool = True) -> RefinementChecker:
+    def new_checker(self) -> RefinementChecker:
         """A fresh incremental checker bound to this session's configuration."""
-        return RefinementChecker(
-            self.spec_factory(),
-            mode=self.mode,
-            impl_view=self.impl_view_factory() if self.impl_view_factory else None,
-            invariants=self.invariants,
-            replay_registry=self.replay_registry,
-            stop_at_first=stop_at_first,
-            obs=self.obs,
-        )
+        return self.plan.refinement_checker()
 
-    def check_offline(self, stop_at_first: bool = True) -> CheckOutcome:
+    def check_offline(self) -> CheckOutcome:
         """Check the (completed) log from scratch."""
-        checker = self.new_checker(stop_at_first=stop_at_first)
+        checker = self.new_checker()
         checker.feed(self.log)
         return checker.finish()
 
-    def new_race_checker(self, stop_at_first: bool = False):
+    def new_race_checker(self):
         """A fresh incremental race checker for this session's detectors.
 
         Requires ``races=...`` at construction (the tracer must have
         recorded synchronization and read events)."""
-        if self.races is None:
+        if not self.plan.races:
             raise ValueError(
                 "race detection not enabled; construct Vyrd(races='both' "
                 "/ 'hb' / 'lockset')"
             )
-        from ..races import RaceChecker
+        return self.plan.race_checker()
 
-        return RaceChecker(detectors=self.races, stop_at_first=stop_at_first,
-                           atomic_locs=self.atomic_locs)
-
-    def check_races(self, stop_at_first: bool = False):
+    def check_races(self):
         """Run the configured race detectors over the (completed) log."""
-        checker = self.new_race_checker(stop_at_first=stop_at_first)
+        checker = self.new_race_checker()
         checker.feed(self.log)
         return checker.finish()
 
-    def check_linearizability(
-        self,
-        spec_factory: Optional[Callable[[], Specification]] = None,
-        *,
-        memo: bool = True,
-        max_nodes: int = 2_000_000,
-    ):
+    def check_linearizability(self):
         """Search the (completed) log for a valid linearization.
 
         Annotation-free: consumes only the call/return history, so it works
         at every log level and needs no commit instrumentation.  Uses the
         session's linearizability spec factory (``linearizability=`` at
-        construction, defaulting to ``spec_factory``) unless overridden.
+        construction, defaulting to ``spec_factory``).
         Returns a :class:`repro.linz.LinzOutcome`.
         """
-        from ..linz import LinzChecker
+        return self.plan.linz_checker().check(self.log)
 
-        factory = spec_factory if spec_factory is not None else self.linz_spec_factory
-        checker = LinzChecker(
-            factory, memo=memo, max_nodes=max_nodes, obs=self.obs
-        )
-        return checker.check(self.log)
-
-    def check_offline_with_mode(
-        self, mode: str, stop_at_first: bool = True, view_at: str = "commit"
-    ) -> CheckOutcome:
+    def check_offline_with_mode(self, mode: str, view_at: str = "commit") -> CheckOutcome:
         """Check the same log under a different refinement mode.
 
         This is how the paper compares I/O and view refinement "on the same
@@ -220,30 +190,17 @@ class Vyrd:
         uses neither the replayed state nor the invariants.
         ``view_at="quiescent"`` gives the commit-atomicity baseline of
         section 8 (state comparison only at quiescent points)."""
-        checker = RefinementChecker(
-            self.spec_factory(),
-            mode=mode,
-            impl_view=(
-                self.impl_view_factory()
-                if mode == VIEW_MODE and self.impl_view_factory is not None
-                else None
-            ),
-            invariants=self.invariants if mode == VIEW_MODE else (),
-            replay_registry=self.replay_registry,
-            stop_at_first=stop_at_first,
-            view_at=view_at,
-            obs=self.obs,
-        )
+        checker = self.plan.in_mode(mode, view_at).refinement_checker()
         checker.feed(self.log)
         return checker.finish()
 
-    def start_online(self, kernel: Kernel, stop_at_first: bool = True) -> "OnlineVerifier":
+    def start_online(self, kernel: Kernel) -> "OnlineVerifier":
         """Spawn the verification thread into ``kernel`` (daemon).
 
         Call :meth:`OnlineVerifier.finalize` after ``kernel.run()`` to
         process the remaining log tail and obtain the outcome.
         """
-        verifier = OnlineVerifier(self, stop_at_first=stop_at_first)
+        verifier = OnlineVerifier(self)
         verifier.thread = kernel.spawn(verifier._body, name="vyrd-verifier", daemon=True)
         return verifier
 
@@ -252,25 +209,23 @@ class OnlineVerifier:
     """The separate verification thread of paper section 4.2.
 
     It runs as a daemon simulated thread: every time the scheduler picks it,
-    it atomically consumes all new log records through an incremental
-    :class:`RefinementChecker`.  Violations are therefore detected *during*
-    the run, as close to their commit actions as scheduling allows.
+    it atomically consumes all new log records through the session plan's
+    composite checker (:class:`~repro.core.plan.PlanChecker`).  Violations
+    are therefore detected *during* the run, as close to their commit
+    actions as scheduling allows.
 
-    When the session was built with ``races=...``, the same tail feeds an
-    incremental :class:`~repro.races.RaceChecker`, so race detection runs
-    alongside refinement; read the result with :meth:`finalize_races`.
+    When the session was built with ``races=...``, the same tail feeds the
+    race detectors alongside refinement; a session built with
+    ``linearizability=...`` keeps the consumed records and searches them.
+    :meth:`finish` returns every verdict.
     """
 
-    def __init__(self, session: Vyrd, stop_at_first: bool = True):
+    def __init__(self, session: Vyrd):
         self.session = session
-        self.checker = session.new_checker(stop_at_first=stop_at_first)
-        self.race_checker = (
-            session.new_race_checker() if session.races is not None else None
-        )
+        self.checker = session.plan.checker()
         self.cursor = 0
         self.thread: Optional[SimThread] = None
-        self._finalized: Optional[CheckOutcome] = None
-        self._race_outcome = None
+        self._outcome: Optional[PlanOutcome] = None
 
     def _consume(self) -> None:
         log = self.session.log
@@ -287,20 +242,12 @@ class OnlineVerifier:
                 with obs.span(
                     "verifier.consume", cat="verifier", actions=len(fresh)
                 ):
-                    self._feed_checkers(fresh)
+                    self.checker.feed(fresh)
             else:
-                self._feed_checkers(fresh)
-
-    def _feed_checkers(self, fresh) -> None:
-        if not self.checker.stopped:
-            self.checker.feed(fresh)
-        if self.race_checker is not None and not self.race_checker.stopped:
-            self.race_checker.feed(fresh)
+                self.checker.feed(fresh)
 
     def _done(self) -> bool:
-        if not self.checker.stopped:
-            return False
-        return self.race_checker is None or self.race_checker.stopped
+        return self.checker.stopped
 
     def _body(self, ctx):
         # Park (finish the daemon generator) once every checker has stopped:
@@ -315,26 +262,17 @@ class OnlineVerifier:
     @property
     def detected(self) -> bool:
         """True once the online checker has found a violation."""
-        return bool(self.checker.outcome.violations)
+        return bool(self.checker.refinement.outcome.violations)
 
-    @property
-    def races_detected(self) -> bool:
-        """True once the online race checker has reported a race."""
-        return self.race_checker is not None and self.race_checker.detected
+    def finish(self) -> PlanOutcome:
+        """Consume whatever the run left in the log and finish every check
+        (idempotent).  Stopped members ignore the tail; the linz search
+        needs all of it."""
+        if self._outcome is None:
+            self._consume()
+            self._outcome = self.checker.finish()
+        return self._outcome
 
     def finalize(self) -> CheckOutcome:
-        """Consume whatever the run left in the log and finish the check."""
-        if self._finalized is None:
-            if not self._done():
-                self._consume()
-            self._finalized = self.checker.finish()
-        return self._finalized
-
-    def finalize_races(self):
-        """Finish the online race check (requires ``Vyrd(races=...)``)."""
-        if self.race_checker is None:
-            raise ValueError("race detection not enabled for this session")
-        if self._race_outcome is None:
-            self.finalize()
-            self._race_outcome = self.race_checker.finish()
-        return self._race_outcome
+        """The refinement outcome (see :meth:`finish`)."""
+        return self.finish().refinement

@@ -292,11 +292,11 @@ def _checkpoint_round(
     :class:`~repro.core.CheckpointError` and the record-zero fallback must
     again match.
     """
-    from ..core import Checkpoint, CheckpointError
-    from ..serve.daemon import session_checkers
+    from ..core import Checkpoint, CheckpointError, CheckPlan
 
     checks: List[dict] = []
     ok = True
+    plan = CheckPlan.for_program(program)
     for buggy in (False, True):
         run = run_program(
             program,
@@ -306,23 +306,24 @@ def _checkpoint_round(
             seed=workload_seed,
         )
         log = list(run.log)
-        make_checker, _ = session_checkers(program)
 
         def verdict_of(checker) -> str:
-            return json.dumps(checker.finish().to_dict(), sort_keys=True)
+            return json.dumps(
+                checker.finish().refinement.to_dict(), sort_keys=True
+            )
 
-        straight = make_checker()
+        straight = plan.checker()
         straight.feed(log)
         expected = verdict_of(straight)
 
         # "Kill" after half the log: checkpoint, serialize, restore into a
         # fresh checker from the bytes alone, feed the tail.
         cut = len(log) // 2
-        killed = make_checker()
+        killed = plan.checker()
         killed.feed(log[:cut])
         blob = killed.checkpoint(meta={"program": program}).to_bytes()
         checkpoint = Checkpoint.from_bytes(blob)
-        resumed = make_checker()
+        resumed = plan.checker()
         resumed.restore(checkpoint)
         resumed.feed(log[checkpoint.resume_seq:])
         resumed_verdict = verdict_of(resumed)
@@ -336,7 +337,7 @@ def _checkpoint_round(
         except CheckpointError as exc:
             rejection = str(exc)
         # ...and the fallback is a full replay from record zero.
-        fallback = make_checker()
+        fallback = plan.checker()
         fallback.feed(log)
         fallback_verdict = verdict_of(fallback)
 
@@ -350,7 +351,7 @@ def _checkpoint_round(
             "corrupt_rejected": rejection is not None,
             "rejection": rejection,
             "fallback_identical": fallback_verdict == expected,
-            "verdict_ok": straight.outcome.ok,
+            "verdict_ok": straight.finish().refinement.ok,
         }
         entry["ok"] = (
             entry["resumed_identical"]
@@ -644,11 +645,11 @@ def _linz_recovery_round(program: str, plan: FaultPlan, pristine_run) -> tuple:
     must never fabricate or lose a linearizability violation relative to
     checking the undamaged records up to the same point.
     """
-    from ..linz import LinzChecker, linz_config
+    from ..core import CheckPlan
 
     checks: List[dict] = []
     ok = True
-    spec_factory = linz_config(program).linz_spec_factory
+    linz = CheckPlan.for_program(program, "linz")
     workdir = tempfile.mkdtemp(prefix="vyrd-linz-")
     try:
         pristine_path = os.path.join(workdir, "pristine.vlog")
@@ -664,10 +665,8 @@ def _linz_recovery_round(program: str, plan: FaultPlan, pristine_run) -> tuple:
             )
             recovered = recover_log(victim)
             salvaged = list(recovered.log)
-            salvaged_verdict = LinzChecker(spec_factory).check(salvaged).to_dict()
-            prefix_verdict = LinzChecker(spec_factory).check(
-                pristine[: len(salvaged)]
-            ).to_dict()
+            salvaged_verdict = linz.check(salvaged).linz.to_dict()
+            prefix_verdict = linz.check(pristine[: len(salvaged)]).linz.to_dict()
             entry = {
                 "fault": applied[0] if applied else {"kind": fault.kind},
                 "salvaged_records": len(salvaged),

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Union
 
 from ..concurrency import Kernel
@@ -29,6 +29,7 @@ from ..concurrency.explore import (
 )
 from ..concurrency.parallel import RefinementViolation
 from ..core import CheckOutcome, Vyrd
+from ..core.plan import PlanOutcome
 from ..obs import Recorder
 from .metrics import mean
 from .workload import PROGRAMS, BuiltProgram, Program
@@ -162,33 +163,17 @@ def run_program(
     start = time.process_time()
     kernel.run()
     run_cpu = time.process_time() - start
-    obs_rec = vyrd.obs
-    if obs_rec.enabled:
-        with obs_rec.span("harness.finalize", cat="harness"):
-            online_outcome = verifier.finalize() if verifier is not None else None
-            race_outcome = None
-            if races:
-                race_outcome = (
-                    verifier.finalize_races() if verifier is not None
-                    else vyrd.check_races()
-                )
-            linz_outcome = (
-                vyrd.check_linearizability() if vyrd.linearizability else None
-            )
-    else:
-        online_outcome = verifier.finalize() if verifier is not None else None
-        race_outcome = None
-        if races:
-            race_outcome = (
-                verifier.finalize_races() if verifier is not None
-                else vyrd.check_races()
-            )
-        linz_outcome = (
-            vyrd.check_linearizability() if vyrd.linearizability else None
-        )
+    with vyrd.obs.span("harness.finalize", cat="harness"):
+        if verifier is not None:
+            final = verifier.finish()
+        elif races or linearizability:
+            # offline, the refinement verdict is left to vyrd.check_offline()
+            final = replace(vyrd.plan, mode=None).check(vyrd.log)
+        else:
+            final = PlanOutcome()
     return RunResult(
-        program, built, vyrd, kernel, run_cpu, online_outcome, race_outcome,
-        lint_findings, obs, linz_outcome,
+        program, built, vyrd, kernel, run_cpu, final.refinement, final.races,
+        lint_findings, obs, final.linz,
     )
 
 

@@ -53,28 +53,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..core.actions import Signature
+from ..core.plan import CheckPlan, SearchBudgetExceeded
 from ..core.refinement import Violation, ViolationKind
 from ..core.spec import OBSERVER, SpecReject, allows
 from ..obs import NULL_RECORDER, Recorder
 from .history import CALL, History, Operation, extract_history
-
-
-class SearchBudgetExceeded(Exception):
-    """The linearization search exceeded its node budget.
-
-    Deliberately *not* a violation: an exhausted budget proves nothing
-    about the history either way, so it must surface as a hard error
-    (CLI exit code 2), never as a verdict.
-    """
-
-    def __init__(self, nodes: int, max_nodes: int):
-        self.nodes = nodes
-        self.max_nodes = max_nodes
-        super().__init__(
-            f"linearization search exceeded {max_nodes} nodes "
-            f"(memoization off or state space too wide); raise max_nodes "
-            "or enable memoization"
-        )
 
 
 @dataclass
@@ -403,12 +386,12 @@ def check_linearizability(
     *,
     memo: bool = True,
     max_nodes: int = 2_000_000,
-    candidate_results: Optional[Callable] = None,
     obs: Optional[Recorder] = None,
 ) -> LinzOutcome:
-    """One-shot convenience wrapper around :class:`LinzChecker`."""
-    checker = LinzChecker(
-        spec_factory, memo=memo, max_nodes=max_nodes,
-        candidate_results=candidate_results, obs=obs,
+    """One-shot convenience: search ``log`` (or a prepared
+    :class:`~repro.linz.history.History`) against ``spec_factory``."""
+    plan = CheckPlan(
+        linz=True, linz_spec_factory=spec_factory, memo=memo,
+        max_nodes=max_nodes, obs=obs,
     )
-    return checker.check(log)
+    return plan.linz_checker().check(log)

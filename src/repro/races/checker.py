@@ -18,6 +18,8 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Tuple, Union
 
 from ..core.actions import Action
+from ..core.checkpoint import CheckpointError
+from ..core.plan import CheckPlan
 from .happens_before import HappensBeforeDetector
 from .lockset import ERASER, LocksetEngine
 from .model import HB_DETECTOR, LOCKSET_DETECTOR, Race, RaceOutcome
@@ -125,6 +127,19 @@ class RaceChecker:
         self.races.extend(found)
         return found
 
+    def state_dict(self) -> dict:
+        """Everything a resumed checker needs; the detectors pickle whole."""
+        return dict(vars(self))
+
+    def load_state(self, state: dict) -> None:
+        """Resume from :meth:`state_dict` of an identically built checker."""
+        config = ("detectors", "stop_at_first", "atomic_locs")
+        if [state[key] for key in config] != [getattr(self, key) for key in config]:
+            raise CheckpointError(
+                "race checkpoint configuration does not match this checker"
+            )
+        vars(self).update(state)
+
     def finish(self) -> RaceOutcome:
         """Wrap up and return the outcome (idempotent)."""
         if self._finished is None:
@@ -143,10 +158,7 @@ class RaceChecker:
 
 
 def check_races(log, detectors: Union[bool, str, Iterable[str]] = BOTH,
-                stop_at_first: bool = False,
                 atomic_locs: Iterable[str] = ()) -> RaceOutcome:
     """One-shot convenience: run race detection over a complete log."""
-    checker = RaceChecker(detectors=detectors, stop_at_first=stop_at_first,
-                          atomic_locs=atomic_locs)
-    checker.feed(log)
-    return checker.finish()
+    plan = CheckPlan(races=detectors, atomic_locs=tuple(atomic_locs))
+    return plan.check(log).races

@@ -55,9 +55,11 @@ from ..core import (
     CheckOutcome,
     Checkpoint,
     CheckpointError,
+    CheckPlan,
     RefinementChecker,
     checkpoint_blob_name,
 )
+from ..core.plan import PlanChecker
 from ..core.actions import Action
 from ..core.log import ChainReport, log_signature, verify_chain
 from ..obs import NULL_RECORDER, Recorder
@@ -162,34 +164,13 @@ def session_checkers(
     The daemon never executes the program; it only needs the program's
     *specification* side -- spec factory, view factory, invariants, replay
     registry, atomic locations -- which the registry rebuilds from the name
-    alone, exactly as the offline CLI checkers do.
+    alone, exactly as the offline CLI checkers do
+    (:meth:`~repro.core.CheckPlan.for_program`).
     """
-    from ..harness.workload import PROGRAMS  # late import: serve -> harness
-
-    entry = PROGRAMS[program]
-    built = entry.build(False, 1)
-
-    def make_checker() -> RefinementChecker:
-        return RefinementChecker(
-            built.spec_factory(),
-            mode=mode,
-            impl_view=built.view_factory() if mode == "view" else None,
-            invariants=built.invariants if mode == "view" else (),
-            replay_registry=built.replay_registry,
-            stop_at_first=stop_at_first,
-        )
-
-    make_races = None
-    if races:
-        from ..races import RaceChecker
-
-        def make_races():
-            return RaceChecker(
-                detectors=races, stop_at_first=False,
-                atomic_locs=entry.atomic_locs,
-            )
-
-    return make_checker, make_races
+    plan = CheckPlan.for_program(
+        program, mode, races=races, stop_at_first=stop_at_first
+    )
+    return plan.refinement_checker, plan.race_checker if plan.races else None
 
 
 @dataclass
@@ -252,6 +233,8 @@ class ServeSession:
     checker_factory / race_checker_factory:
         Zero-arg builders of the incremental checkers (see
         :func:`session_checkers`); either may be None to skip that check.
+        The session feeds, sheds, checkpoints and catches up what they
+        build as one :class:`~repro.core.PlanChecker`.
     queue_records:
         Bound of the ingest->checker queue; the memory cap and the
         backpressure trigger.
@@ -264,12 +247,12 @@ class ServeSession:
     timeout:
         Wall-clock bound on the whole session; exceeded => incomplete.
     checkpoint_every:
-        When > 0, the checker thread writes a refinement-checker checkpoint
-        blob (``<session>/CHECKPOINT.vyrdckpt``) into the store every that
-        many checked records, so a killed daemon can resume mid-log.
+        When > 0, the checker thread writes a checkpoint blob of every
+        checker (``<session>/CHECKPOINT.vyrdckpt``) into the store every
+        that many checked records, so a killed daemon can resume mid-log.
     resume:
-        Try to restore the refinement checker from the session's checkpoint
-        blob before verifying.  The canonical history still re-ingests every
+        Try to restore the checkers from the session's checkpoint blob
+        before verifying.  The canonical history still re-ingests every
         record (the stream signature must not depend on where verification
         restarted); only the checker skips records below the checkpoint's
         ``resume_seq``.  A missing blob starts from record zero silently; a
@@ -278,7 +261,7 @@ class ServeSession:
     degrade_lag / degrade_after:
         Opt-in lag shedding: when the queue holds ``degrade_lag`` or more
         records continuously for ``degrade_after`` seconds, the session
-        degrades to record-only mode (the live checker stops being fed;
+        degrades to record-only mode (the live checkers stop being fed;
         ingest and the canonical history continue; catch-up verification
         runs at drain).  ``degrade_lag`` should sit below ``queue_records``
         or backpressure caps the depth before the threshold can trip.
@@ -351,7 +334,6 @@ class ServeSession:
         # degradation / health state
         self._checker_shed = False
         self._checker_crashed = False
-        self._race_shed = False
         self._shed_seq = 0  # records the live checker had fully verified
         self._degraded_reason: Optional[str] = None
         self._catchup_from = 0
@@ -468,6 +450,16 @@ class ServeSession:
 
     # -- checker side --------------------------------------------------------
 
+    def _new_checker(self) -> PlanChecker:
+        """The session's one checker over whatever the factories build."""
+        return PlanChecker(
+            refinement=self.checker_factory() if self.checker_factory else None,
+            races=(
+                self.race_checker_factory() if self.race_checker_factory
+                else None
+            ),
+        )
+
     def _restore_from_blob(self, checker) -> int:
         """Restore ``checker`` from the checkpoint blob; returns resume seq.
 
@@ -485,11 +477,6 @@ class ServeSession:
             return 0
         return checkpoint.resume_seq
 
-    def _maybe_restore(self, checker) -> None:
-        if checker is None or not self.resume:
-            return
-        self._resume_seq = self._restore_from_blob(checker)
-
     def _save_checkpoint(self, checker) -> None:
         checkpoint = checker.checkpoint(
             meta={"session": self.session, "shards": self.num_shards}
@@ -501,28 +488,21 @@ class ServeSession:
 
     # -- degradation ---------------------------------------------------------
 
-    def _shed(self, reason: str, *, race: bool = False,
-              crashed: bool = False) -> None:
-        """Degrade to record-only mode: stop feeding a failed checker.
+    def _shed(self, reason: str, *, crashed: bool = False) -> None:
+        """Degrade to record-only mode: stop feeding the checker.
 
         Ingest, the canonical history and PAUSE semantics all continue --
         durability is never sacrificed to a sick checker.  Catch-up
         verification at drain recomputes the authoritative verdict over the
         same canonical history, so the final outcome is identical to a
         never-degraded session."""
-        if race:
-            self._race_shed = True
-        else:
-            self._checker_shed = True
-            self._checker_crashed = self._checker_crashed or crashed
-        if self._degraded_reason is None:
-            self._degraded_reason = reason
-        else:
-            self._degraded_reason += "; " + reason
+        self._checker_shed = True
+        self._checker_crashed = crashed
+        self._degraded_reason = reason
         if self.obs.enabled:
             self.obs.count("serve.degraded", 1)
 
-    def _check(self, checker, race_checker) -> None:
+    def _check(self, checker) -> None:
         # Canonical position of the next record this thread will see; the
         # merger emits records in sequence order, so a running counter is the
         # global sequence number.
@@ -543,52 +523,39 @@ class ServeSession:
                     skip = min(len(batch), self._resume_seq - position)
                     fresh = batch[skip:]
                 position += len(batch)
-                if checker is not None and not self._checker_shed and fresh:
+                if not self._checker_shed:
                     try:
-                        checker.feed(fresh)
+                        if fresh:
+                            checker.feed(fresh)
                     except FATAL_CHECKER_EXCEPTIONS:
                         # Not retryable: degrading would re-feed the same
                         # records at catch-up.  Surface on the result via
                         # the outer handler.
                         raise
                     except Exception as exc:
-                        self._shed(
-                            f"checker crashed: {exc!r}", crashed=True
-                        )
+                        self._shed(f"checker crashed: {exc!r}", crashed=True)
                     else:
-                        if self.checkpoint_every:
-                            since_checkpoint += len(fresh)
-                            if since_checkpoint >= self.checkpoint_every:
-                                try:
-                                    self._save_checkpoint(checker)
-                                except FATAL_CHECKER_EXCEPTIONS:
-                                    raise
-                                except Exception:
-                                    # A checkpoint is an optimization; a
-                                    # store refusing one must not degrade
-                                    # (let alone kill) the session.
-                                    self._checkpoint_failures += 1
-                                since_checkpoint = 0
-                if checker is not None and not self._checker_shed:
-                    # Everything up to here is verified (records below the
-                    # resume seq count: the checkpoint covers them) -- the
-                    # point a lag-shed checker resumes from at catch-up.
-                    self._shed_seq = position
-                if race_checker is not None and not self._race_shed:
-                    try:
-                        race_checker.feed(batch)
-                    except FATAL_CHECKER_EXCEPTIONS:
-                        raise
-                    except Exception as exc:
-                        self._shed(
-                            f"race checker crashed: {exc!r}", race=True
-                        )
+                        # Everything up to here is verified (records below
+                        # the resume seq count: the checkpoint covers them)
+                        # -- the point a lag-shed checker resumes from.
+                        self._shed_seq = position
+                        since_checkpoint += len(fresh)
+                        if (
+                            self.checkpoint_every
+                            and since_checkpoint >= self.checkpoint_every
+                        ):
+                            try:
+                                self._save_checkpoint(checker)
+                            except FATAL_CHECKER_EXCEPTIONS:
+                                raise
+                            except Exception:
+                                # A checkpoint is an optimization; a store
+                                # refusing one must not degrade (let alone
+                                # kill) the session.
+                                self._checkpoint_failures += 1
+                            since_checkpoint = 0
                 self._checked += len(batch)
-                if (
-                    self.degrade_lag is not None
-                    and not self._checker_shed
-                    and checker is not None
-                ):
+                if self.degrade_lag is not None and not self._checker_shed:
                     if self.queue.depth >= self.degrade_lag:
                         now = time.monotonic()
                         if lag_since is None:
@@ -606,7 +573,7 @@ class ServeSession:
         except Exception as exc:  # surfaced on the result, not swallowed
             self._checker_error = f"checker: {exc!r}"
 
-    def _catch_up(self, live_checker, live_race_checker):
+    def _catch_up(self, live_checker):
         """Offline catch-up verification after a degraded session.
 
         Runs once the stream has drained, over the canonical in-memory
@@ -614,43 +581,31 @@ class ServeSession:
         A *lag-shed* checker is still correct, so it simply resumes from
         where it stopped; a *crashed* checker is replaced by a fresh one
         restored from the last durable checkpoint (or record zero).
-        Returns the authoritative ``(checker, race_checker)`` pair."""
-        checker, race_checker = live_checker, live_race_checker
-        if self._checker_shed and self.checker_factory is not None:
-            if self._checker_crashed:
-                checker = self.checker_factory()
-                start = self._restore_from_blob(checker)
-                if self._resume_rejected is not None and start == 0:
-                    # A rejected restore may have touched nothing, but a
-                    # fresh build is the only state worth trusting here.
-                    checker = self.checker_factory()
-            else:
-                start = self._shed_seq
-            self._catchup_from = start
-            records = self._canonical[start:]
-            self._catchup_records = len(records)
-            try:
-                if records:
-                    checker.feed(records)
-            except Exception as exc:
-                # The fault was not transient: this history cannot be
-                # verified by this checker at all.  Surface it.
-                self._checker_error = f"catch-up checker: {exc!r}"
-                checker = None
-        if self._race_shed and self.race_checker_factory is not None:
-            race_checker = self.race_checker_factory()
-            try:
-                if self._canonical:
-                    race_checker.feed(list(self._canonical))
-            except Exception as exc:
-                self._checker_error = (
-                    (self._checker_error + "; " if self._checker_error
-                     else "") + f"catch-up race checker: {exc!r}"
-                )
-                race_checker = None
+        Returns the authoritative checker, or None if catch-up failed."""
+        checker = live_checker
+        if self._checker_crashed:
+            checker = self._new_checker()
+            start = self._restore_from_blob(checker)
+            if self._resume_rejected is not None and start == 0:
+                # A rejected restore may have touched nothing, but a
+                # fresh build is the only state worth trusting here.
+                checker = self._new_checker()
+        else:
+            start = self._shed_seq
+        self._catchup_from = start
+        records = self._canonical[start:]
+        self._catchup_records = len(records)
+        try:
+            if records:
+                checker.feed(records)
+        except Exception as exc:
+            # The fault was not transient: this history cannot be
+            # verified by this checker at all.  Surface it.
+            self._checker_error = f"catch-up checker: {exc!r}"
+            checker = None
         if self.obs.enabled and self._catchup_records:
             self.obs.count("serve.catchup_records", self._catchup_records)
-        return checker, race_checker
+        return checker
 
     # -- health --------------------------------------------------------------
 
@@ -658,7 +613,7 @@ class ServeSession:
         return {
             "session": self.session,
             "state": state,
-            "degraded": self._checker_shed or self._race_shed,
+            "degraded": self._checker_shed,
             "degraded_reason": self._degraded_reason,
             "ingested": self._ingested,
             "checked": self._checked,
@@ -695,19 +650,18 @@ class ServeSession:
     def _heartbeat(self, stop: threading.Event) -> None:
         while not stop.wait(self.heartbeat_interval):
             self._heartbeats += 1
-            degraded = self._checker_shed or self._race_shed
-            self._write_health("degraded" if degraded else "serving")
+            self._write_health(
+                "degraded" if self._checker_shed else "serving"
+            )
 
     # -- the session -----------------------------------------------------------
 
     def run(self, process=None) -> ServeResult:
         """Drive ingest + checking to completion; ``process`` (optional) is
         the producer handle used to detect an abandoned session."""
-        checker = self.checker_factory() if self.checker_factory else None
-        race_checker = (
-            self.race_checker_factory() if self.race_checker_factory else None
-        )
-        self._maybe_restore(checker)
+        checker = self._new_checker()
+        if self.resume:
+            self._resume_seq = self._restore_from_blob(checker)
         obs = self.obs
         heartbeat_stop = threading.Event()
         heartbeat = None
@@ -717,7 +671,7 @@ class ServeSession:
                 name=f"serve-ingest-{self.session}", daemon=True,
             )
             check = threading.Thread(
-                target=self._check, args=(checker, race_checker),
+                target=self._check, args=(checker,),
                 name=f"serve-check-{self.session}", daemon=True,
             )
             if self.heartbeat_interval > 0:
@@ -733,22 +687,20 @@ class ServeSession:
             if heartbeat is not None:
                 heartbeat_stop.set()
                 heartbeat.join(timeout=5.0)
-            if self._checker_shed or self._race_shed:
+            if self._checker_shed:
                 with obs.span(
                     "serve.catchup", cat="serve", session=self.session
                 ):
-                    checker, race_checker = self._catch_up(
-                        checker, race_checker
-                    )
+                    checker = self._catch_up(checker)
         result = ServeResult(session=self.session)
         result.manifest = self._manifest
         result.records = len(self._canonical)
         result.signature = log_signature(self._canonical)
-        result.degraded = self._checker_shed or self._race_shed
+        result.degraded = self._checker_shed
         if checker is not None:
-            result.outcome = checker.finish()
-        if race_checker is not None:
-            result.race_outcome = race_checker.finish()
+            final = checker.finish()
+            result.outcome = final.refinement
+            result.race_outcome = final.races
         result.error = self._ingest_error or self._checker_error
         result.complete = (
             self._manifest is not None
@@ -912,16 +864,13 @@ def serve_campaign(
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX fallback
         ctx = multiprocessing.get_context()
-    checker_factory, race_factory = session_checkers(
-        program, mode=mode, races=races
-    )
+    plan = CheckPlan.for_program(program, mode, races=races)
     kwargs = dict(run_kwargs or {})
     kwargs.setdefault("mode", mode)
-    if races:
-        # The producer only needs to *log* the sync/read events the race
-        # detectors consume; the detectors themselves run in the daemon.
-        kwargs.setdefault("log_locks", True)
-        kwargs.setdefault("log_reads", True)
+    # The producer only needs to *log* the sync/read events the race
+    # detectors consume; the detectors themselves run in the daemon.
+    for flag in ("log_locks", "log_reads"):
+        kwargs.setdefault(flag, plan.log_flags[flag])
 
     def one(seed: int) -> ServeResult:
         name = f"run-{seed:05d}"
@@ -931,8 +880,8 @@ def serve_campaign(
         )
         session = ServeSession(
             session_store, name, num_shards,
-            checker_factory=checker_factory,
-            race_checker_factory=race_factory,
+            checker_factory=plan.refinement_checker,
+            race_checker_factory=plan.race_checker if plan.races else None,
             queue_records=queue_records,
             checker_delay=checker_delay,
             timeout=timeout,

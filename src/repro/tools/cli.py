@@ -74,8 +74,8 @@ from ..concurrency.errors import SimThreadError, SimulationError
 from ..core import (
     Checkpoint,
     CheckpointError,
+    CheckPlan,
     LogFormatError,
-    RefinementChecker,
     format_outcome,
     load_log,
     recover_log,
@@ -84,6 +84,7 @@ from ..core import (
     save_log,
     validate_well_formed,
 )
+from ..core.plan import CHECK_ERRORS, problem_of
 from ..harness import PROGRAMS, explore_program, run_program
 
 
@@ -673,26 +674,14 @@ def _cmd_run(args) -> int:
             exc.__cause__, InstrumentationError
         ):
             cause = exc.__cause__
-        problem = f"{type(cause).__name__}: {cause}"
-        if args.json:
-            payload = {
-                "ok": False,
-                "program": args.program,
-                "seed": args.seed,
-                "problem": problem,
-                "error_type": type(cause).__name__,
-            }
-            if isinstance(cause, InstrumentationError):
-                payload["method"] = cause.method
-                payload["tid"] = cause.tid
-                payload["op_id"] = cause.op_id
-            findings = getattr(cause, "findings", None)
-            if findings is not None:
-                payload["lint_findings"] = [f.to_dict() for f in findings]
-            print(json.dumps(payload, indent=2))
-        else:
-            print(f"run failed: {problem}", file=sys.stderr)
-        return 2
+        fields = {"program": args.program, "seed": args.seed,
+                  "problem": f"{type(cause).__name__}: {cause}"}
+        if isinstance(cause, InstrumentationError):
+            fields.update(method=cause.method, tid=cause.tid, op_id=cause.op_id)
+        findings = getattr(cause, "findings", None)
+        if findings is not None:
+            fields["lint_findings"] = [f.to_dict() for f in findings]
+        return _problem(args, cause, **fields)
     outcome = (
         result.online_outcome if args.online else result.vyrd.check_offline()
     )
@@ -828,16 +817,33 @@ def _cmd_explore(args) -> int:
     return 0 if not result.failures else 1
 
 
-def _checker_for(program_name: str, mode: str, stop_at_first: bool) -> RefinementChecker:
-    built = PROGRAMS[program_name].build(False, 1)
-    return RefinementChecker(
-        built.spec_factory(),
-        mode=mode,
-        impl_view=built.view_factory() if mode == "view" else None,
-        invariants=built.invariants if mode == "view" else (),
-        replay_registry=built.replay_registry,
-        stop_at_first=stop_at_first,
-    )
+def _problem(args, exc, **fields) -> int:
+    """Report an error that left no verdict (the check plan's
+    :func:`~repro.core.plan.problem_of`, plus ``fields``): the typed problem
+    under ``--json``, one line on stderr otherwise.  Exit code 2."""
+    payload = {**problem_of(exc), **fields}
+    if args.json:
+        print(json.dumps(payload, indent=2))
+    else:
+        hint = ""
+        if isinstance(exc, LogFormatError) and getattr(args, "recover", None) is False:
+            hint = "; re-run with --recover to check the salvageable prefix"
+        print(f"{args.command} failed: {payload['problem']}{hint}", file=sys.stderr)
+    return 2
+
+
+def _read_log(path: str, recover: bool):
+    """Load ``path``; under ``--recover``, its longest valid prefix (and
+    the salvage report).  A salvage of no record at all is an error: there
+    is no prefix to check."""
+    if not recover:
+        return load_log(path), None
+    recovered = recover_log(path)
+    if not recovered.complete and not recovered.records:
+        raise LogFormatError(
+            recovered.cause, recovered.error_offset, recovered.error_record
+        )
+    return recovered.log, recovered
 
 
 def _emit_json(payload, log) -> None:
@@ -851,264 +857,135 @@ def _emit_json(payload, log) -> None:
     print(json.dumps(payload, indent=2))
 
 
+def _resumed_checker(plan, args):
+    """The plan's checker, restored from ``--resume`` when given; a rejected
+    checkpoint falls back to a fresh checker (record zero)."""
+    checker = plan.checker()
+    if not args.resume:
+        return checker, None
+    try:
+        checkpoint = Checkpoint.load(args.resume)
+        checker.restore(checkpoint)
+    except CheckpointError as exc:
+        if not args.json:
+            print(f"warning: checkpoint rejected ({exc}); "
+                  "replaying from record zero", file=sys.stderr)
+        return plan.checker(), {
+            "checkpoint": args.resume, "rejected": str(exc), "resume_seq": 0,
+        }
+    return checker, {"checkpoint": args.resume, "resume_seq": checkpoint.resume_seq}
+
+
 def _cmd_check(args) -> int:
-    recovery = None
-    if args.recover:
-        recovered = recover_log(args.log)
-        log = recovered.log
-        recovery = recovered.to_dict()
-        if not recovered.complete and not args.json:
-            print(
-                f"warning: log damaged at byte {recovered.error_offset} "
-                f"({recovered.cause}); checking the salvaged prefix of "
-                f"{recovered.records} record(s)"
-            )
-    else:
-        try:
-            log = load_log(args.log)
-        except LogFormatError as exc:
-            if args.json:
-                print(json.dumps({
-                    "ok": False,
-                    "problem": str(exc),
-                    "error_type": "LogFormatError",
-                    "offset": exc.offset,
-                    "record_index": exc.record_index,
-                }, indent=2))
-            else:
-                print(f"cannot read log: {exc}", file=sys.stderr)
-                print("hint: re-run with --recover to check the salvageable "
-                      "prefix", file=sys.stderr)
-            return 2
+    mode = "view" if args.mode == "refinement" else args.mode
+    plan = CheckPlan.for_program(
+        args.program, mode, variant=args.variant, stop_at_first=not args.all
+    )
+    try:
+        log, recovered = _read_log(args.log, args.recover)
+        checker, resume_info = _resumed_checker(plan, args)
+        actions = list(log)[checker.fed:]
+        meta = {"program": args.program, "mode": mode, "log": args.log}
+        every = max(0, args.checkpoint_every)
+        if every and args.checkpoint:
+            for index in range(0, len(actions), every):
+                chunk = actions[index:index + every]
+                checker.feed(chunk)
+                if len(chunk) == every:
+                    checker.checkpoint(meta=meta).save(args.checkpoint)
+        else:
+            checker.feed(actions)
+            if args.checkpoint:
+                checker.checkpoint(meta=meta).save(args.checkpoint)
+        outcome = checker.finish()
+    except CHECK_ERRORS as exc:
+        return _problem(args, exc)
+    if recovered is not None and not recovered.complete and not args.json:
+        print(
+            f"warning: log damaged at byte {recovered.error_offset} "
+            f"({recovered.cause}); checking the salvaged prefix of "
+            f"{recovered.records} record(s)"
+        )
     problems = validate_well_formed(log)
     if problems and not args.json:
         print(f"warning: log is not well-formed ({len(problems)} problem(s)):")
         for problem in problems[:5]:
             print(f"  {problem}")
-    mode = "view" if args.mode == "refinement" else args.mode
     if mode == "linz":
-        return _check_linz_log(args, log, recovery)
-    if mode == "both":
-        return _check_both(args, log, recovery)
-    checker = _checker_for(args.program, mode, stop_at_first=not args.all)
-    resume_info = None
-    start_seq = 0
-    if args.resume:
-        try:
-            ckpt = Checkpoint.load(args.resume)
-            checker.restore(ckpt)
-            start_seq = ckpt.resume_seq
-            resume_info = {"checkpoint": args.resume, "resume_seq": start_seq}
-        except CheckpointError as exc:
-            # Typed rejection: fall back to a record-zero replay.
-            resume_info = {
-                "checkpoint": args.resume,
-                "rejected": str(exc),
-                "resume_seq": 0,
-            }
-            if not args.json:
-                print(f"warning: checkpoint rejected ({exc}); "
-                      "replaying from record zero", file=sys.stderr)
-            checker = _checker_for(args.program, mode,
-                                   stop_at_first=not args.all)
-    actions = list(log)[start_seq:]
-    every = max(0, args.checkpoint_every)
-    if every and args.checkpoint:
-        meta = {"program": args.program, "mode": mode, "log": args.log}
-        for index in range(0, len(actions), every):
-            chunk = actions[index:index + every]
-            checker.feed(chunk)
-            if len(chunk) == every:
-                checker.checkpoint(meta=meta).save(args.checkpoint)
+        verdict = outcome.linz
+        payload = {**verdict.to_dict(), "program": args.program,
+                   "variant": args.variant}
+        ok, failure = verdict.ok, 2
+    elif mode == "both":
+        agreement = plan.agreement(outcome)
+        payload = {"ok": agreement["ok"], "mode": "both",
+                   "program": args.program, "variant": args.variant,
+                   "agree": agreement["agree"],
+                   "expected_divergence": agreement["expected_divergence"],
+                   "problem": agreement["problem"],
+                   "refinement": outcome.refinement.to_dict(),
+                   "linz": outcome.linz.to_dict()}
+        ok, failure = agreement["ok"], 2
     else:
-        checker.feed(actions)
-        if args.checkpoint:
-            checker.checkpoint(
-                meta={"program": args.program, "mode": mode, "log": args.log}
-            ).save(args.checkpoint)
-    outcome = checker.finish()
+        payload = outcome.refinement.to_dict()
+        ok, failure = outcome.refinement.ok, 1
     if args.json:
-        payload = outcome.to_dict()
-        if recovery is not None:
-            payload["recovery"] = recovery
+        if recovered is not None:
+            payload["recovery"] = recovered.to_dict()
         if resume_info is not None:
             payload["resume"] = resume_info
         _emit_json(payload, log)
-    else:
-        if resume_info is not None and "rejected" not in resume_info:
-            print(f"resumed from {args.resume} at seq {start_seq}")
-        print(format_outcome(outcome, title=f"{mode} refinement of {args.log}"))
-    return 0 if outcome.ok else 1
-
-
-def _run_linz_search(args, log, spec_factory):
-    """Run the linearization search with the shared budget/memoization
-    flags; a blown budget is a hard error (exit 2), never a verdict."""
-    from ..linz import LinzChecker, SearchBudgetExceeded
-
-    checker = LinzChecker(
-        spec_factory,
-        memo=not getattr(args, "no_memo", False),
-        max_nodes=getattr(args, "max_nodes", 2_000_000),
-    )
-    try:
-        return checker.check(log), None
-    except SearchBudgetExceeded as exc:
-        return None, str(exc)
-
-
-def _search_error(args, message: str) -> int:
-    if args.json:
-        print(json.dumps({
-            "ok": False,
-            "problem": message,
-            "error_type": "SearchBudgetExceeded",
-        }, indent=2))
-    else:
-        print(f"linearization search failed: {message}", file=sys.stderr)
-    return 2
-
-
-def _check_linz_log(args, log, recovery) -> int:
-    """``check --mode linz``: the annotation-free verdict on one log."""
-    from ..linz import linz_config
-
-    config = linz_config(args.program, args.variant)
-    outcome, error = _run_linz_search(args, log, config.linz_spec_factory)
-    if outcome is None:
-        return _search_error(args, error)
-    if args.json:
-        payload = outcome.to_dict()
-        payload["program"] = args.program
-        payload["variant"] = args.variant
-        if recovery is not None:
-            payload["recovery"] = recovery
-        _emit_json(payload, log)
-    else:
-        print(f"linearizability of {args.log}: {outcome.summary()}")
-        if not outcome.ok:
-            print(f"  problem: {outcome.first_violation}")
-    return 0 if outcome.ok else 2
-
-
-def _check_both(args, log, recovery) -> int:
-    """``check --mode both``: I/O refinement and the linearization search
-    on the same log, gated on verdict agreement.
-
-    The refinement side runs in I/O mode -- like the linearization search
-    it needs only call/return/commit records, so the comparison works at
-    every log level.  Exit 0 when the verdicts agree on OK or the
-    disagreement is on the documented expected-divergence list; exit 2 for
-    any linearizability violation or undocumented disagreement, with both
-    verdicts in the ``--json`` payload.
-    """
-    from ..linz import expected_divergence, linz_config
-
-    config = linz_config(args.program, args.variant)
-    built = PROGRAMS[args.program].build(False, 1)
-    ref_spec_factory = config.refinement_spec_factory or built.spec_factory
-    ref_checker = RefinementChecker(
-        ref_spec_factory(),
-        mode="io",
-        replay_registry=built.replay_registry,
-        stop_at_first=not args.all,
-    )
-    ref_checker.feed(log)
-    ref_outcome = ref_checker.finish()
-    linz_outcome, error = _run_linz_search(args, log, config.linz_spec_factory)
-    if linz_outcome is None:
-        return _search_error(args, error)
-    agree = ref_outcome.ok == linz_outcome.ok
-    divergence = expected_divergence(args.program, args.variant)
-    # The documented divergences are strictly refinement-OK /
-    # linearizability-VIOLATION (a permissive refinement spec accepting a
-    # genuinely non-linearizable execution); any other shape is a finding.
-    expected = (
-        divergence is not None and ref_outcome.ok and not linz_outcome.ok
-    )
-    problem = None
-    if not agree and not expected:
-        ref_verdict = "OK" if ref_outcome.ok else str(ref_outcome.first_violation)
-        linz_verdict = "OK" if linz_outcome.ok else str(linz_outcome.first_violation)
-        problem = (
-            f"verdict-disagreement: refinement={ref_verdict}; "
-            f"linearizability={linz_verdict}"
-        )
-    elif not linz_outcome.ok and not expected:
-        problem = str(linz_outcome.first_violation)
-    elif not ref_outcome.ok:
-        problem = str(ref_outcome.first_violation)
-    ok = problem is None
-    if args.json:
-        payload = {
-            "ok": ok,
-            "mode": "both",
-            "program": args.program,
-            "variant": args.variant,
-            "agree": agree,
-            "expected_divergence": divergence if expected else None,
-            "problem": problem,
-            "refinement": ref_outcome.to_dict(),
-            "linz": linz_outcome.to_dict(),
-        }
-        if recovery is not None:
-            payload["recovery"] = recovery
-        _emit_json(payload, log)
-    else:
-        ref_text = "OK" if ref_outcome.ok else "VIOLATION"
-        linz_text = "OK" if linz_outcome.ok else "VIOLATION"
+        return 0 if ok else failure
+    if resume_info is not None and "rejected" not in resume_info:
+        print(f"resumed from {args.resume} at seq {resume_info['resume_seq']}")
+    if mode == "linz":
+        print(f"linearizability of {args.log}: {outcome.linz.summary()}")
+        if not ok:
+            print(f"  problem: {outcome.linz.first_violation}")
+    elif mode == "both":
+        ref_text = "OK" if outcome.refinement.ok else "VIOLATION"
+        linz_text = "OK" if outcome.linz.ok else "VIOLATION"
         print(f"cross-validation of {args.log}: refinement={ref_text}, "
               f"linearizability={linz_text}")
-        if expected:
-            print(f"  expected divergence: {divergence}")
-        elif problem is not None:
-            print(f"  problem: {problem}")
-    return 0 if ok else 2
+        if agreement["expected_divergence"] is not None:
+            print(f"  expected divergence: {agreement['expected_divergence']}")
+        elif agreement["problem"] is not None:
+            print(f"  problem: {agreement['problem']}")
+    else:
+        print(format_outcome(outcome.refinement,
+                             title=f"{mode} refinement of {args.log}"))
+    return 0 if ok else failure
 
 
 def _cmd_linz(args) -> int:
     """``vyrd linz <program|logfile>``."""
-    from ..linz import linz_config
-
     if args.target in PROGRAMS:
-        config = linz_config(args.target, args.variant)
-        result = run_program(
-            args.target,
-            buggy=args.buggy,
-            num_threads=args.threads,
-            calls_per_thread=args.calls,
-            seed=args.seed,
-        )
-        log = result.log
-        source = f"{args.target} (seed {args.seed})"
         program = args.target
+        source = f"{args.target} (seed {args.seed})"
+    elif args.program is None:
+        print("error: checking a log file requires --program", file=sys.stderr)
+        return 2
     else:
-        if args.program is None:
-            print("error: checking a log file requires --program",
-                  file=sys.stderr)
-            return 2
         program = args.program
-        config = linz_config(program, args.variant)
-        if args.recover:
-            recovered = recover_log(args.target)
-            log = recovered.log
-        else:
-            try:
-                log = load_log(args.target)
-            except LogFormatError as exc:
-                if args.json:
-                    print(json.dumps({
-                        "ok": False,
-                        "problem": str(exc),
-                        "error_type": "LogFormatError",
-                    }, indent=2))
-                else:
-                    print(f"cannot read log: {exc}", file=sys.stderr)
-                return 2
         source = args.target
-    outcome, error = _run_linz_search(args, log, config.linz_spec_factory)
-    if outcome is None:
-        return _search_error(args, error)
+    plan = CheckPlan.for_program(
+        program, "linz", variant=args.variant, memo=not args.no_memo,
+        max_nodes=args.max_nodes,
+    )
+    try:
+        if args.target in PROGRAMS:
+            log = run_program(
+                args.target,
+                buggy=args.buggy,
+                num_threads=args.threads,
+                calls_per_thread=args.calls,
+                seed=args.seed,
+            ).log
+        else:
+            log = _read_log(args.target, args.recover)[0]
+        outcome = plan.check(log).linz
+    except CHECK_ERRORS as exc:
+        return _problem(args, exc)
     if args.json:
         payload = outcome.to_dict()
         payload["program"] = program
@@ -1122,11 +999,14 @@ def _cmd_linz(args) -> int:
 
 
 def _cmd_races(args) -> int:
-    from ..races import check_races, format_race_outcome, render_first_race
+    from ..races import format_race_outcome, render_first_race
 
-    log = load_log(args.log)
-    outcome = check_races(log, detectors=args.detector,
-                          atomic_locs=tuple(args.atomic_prefix))
+    plan = CheckPlan(races=args.detector, atomic_locs=tuple(args.atomic_prefix))
+    try:
+        log = load_log(args.log)
+    except CHECK_ERRORS as exc:
+        return _problem(args, exc)
+    outcome = plan.check(log).races
     if args.json:
         _emit_json(outcome.to_dict(), log)
     else:
@@ -1336,10 +1216,9 @@ def _cmd_serve(args) -> int:
         # The determinism gate: the daemon's merged canonical order must be
         # byte-identical (by signature) to a single-process run, shard
         # count and backpressure notwithstanding.
-        direct_kwargs = dict(run_kwargs)
-        if args.races:
-            direct_kwargs.setdefault("log_locks", True)
-            direct_kwargs.setdefault("log_reads", True)
+        flags = CheckPlan(races=args.races).log_flags
+        direct_kwargs = dict(run_kwargs, log_locks=flags["log_locks"],
+                             log_reads=flags["log_reads"])
         for result in report.sessions:
             seed = int(result.session.rsplit("-", 1)[1])
             solo = run_program(args.program, seed=seed, **direct_kwargs)

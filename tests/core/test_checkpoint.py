@@ -174,6 +174,28 @@ def test_version_one_checkpoint_is_rejected_and_check_falls_back(tmp_path, capsy
     assert fallback == straight
 
 
+def test_version_two_checkpoint_is_rejected_and_check_falls_back(tmp_path, capsys):
+    """Format 3 holds one entry per checker of the plan.  A version-2 blob
+    (a refinement checker's payload alone) is refused with the typed error
+    and ``check --resume`` falls back to record zero."""
+    log_path = str(tmp_path / "mv.vlog")
+    ckpt = tmp_path / "mv.vyrdckpt"
+    main(["run", "--program", "multiset-vector", "--threads", "3",
+          "--calls", "10", "--seed", "2", "--save", log_path])
+    capsys.readouterr()
+    check = ["check", log_path, "--program", "multiset-vector", "--json"]
+    assert main([*check, "--checkpoint", str(ckpt)]) == 0
+    straight = json.loads(capsys.readouterr().out)
+    ckpt.write_bytes(ckpt.read_bytes().replace(
+        f'"version": {FORMAT_VERSION}'.encode(), b'"version": 2'
+    ))
+    assert main([*check, "--resume", str(ckpt)]) == 0
+    fallback = json.loads(capsys.readouterr().out)
+    resume = fallback.pop("resume")
+    assert resume["resume_seq"] == 0 and "version" in resume["rejected"]
+    assert fallback == straight
+
+
 def test_checkpoint_preserves_buffered_lookahead():
     """A checkpoint taken while a commit is waiting for its return must
     carry the buffered actions: the resumed checker sees the return first."""

@@ -141,6 +141,57 @@ def test_checkpointed_session_resumes_with_identical_verdict():
     assert fallback.outcome.to_dict() == first.outcome.to_dict()
 
 
+class _CountingFeed:
+    """Delegating checker that counts the records it is fed."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.fed = 0
+
+    def feed(self, records):
+        self.fed += len(records)
+        return self.inner.feed(records)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_resumed_session_feeds_the_race_member_only_the_tail():
+    """The checkpoint covers the race detectors too: a resumed session
+    feeds them exactly the records after the resume seq, and both verdicts
+    equal the uninterrupted session's."""
+    store = ObjectStoreStub()
+    produce_session(
+        store, "s", PROG, seed=3, num_shards=2,
+        run_kwargs={**WORKLOAD, "buggy": True, "log_locks": True,
+                    "log_reads": True},
+        throttle=False,
+    )
+    checker_factory, race_factory = session_checkers(PROG, races="both")
+    fed = []
+
+    def counting_races():
+        member = _CountingFeed(race_factory())
+        fed.append(member)
+        return member
+
+    def serve(**kw):
+        return ServeSession(
+            store, "s", 2, checker_factory=checker_factory,
+            race_checker_factory=counting_races, batch_records=16, **kw,
+        ).run()
+
+    straight = serve(checkpoint_every=300)
+    assert straight.ok and straight.stats["checkpoints_saved"] >= 1
+    resumed = serve(resume=True)
+    resume_seq = resumed.stats["resumed_from_seq"]
+    assert resumed.ok and 0 < resume_seq < resumed.records
+    assert fed[-1].fed == resumed.records - resume_seq
+    assert resumed.signature == straight.signature
+    assert resumed.outcome.to_dict() == straight.outcome.to_dict()
+    assert resumed.race_outcome.to_dict() == straight.race_outcome.to_dict()
+
+
 def test_resume_without_checkpoint_blob_starts_at_zero():
     store = ObjectStoreStub()
     produce_session(

@@ -32,18 +32,19 @@ WORKLOAD = dict(num_threads=2, calls_per_thread=6)
 
 
 class _FeedRaises:
-    """Checker stand-in whose first ``feed`` raises ``exc`` and which
-    otherwise delegates to a real checker."""
+    """Checker stand-in whose first ``feed`` (after ``after`` healthy ones)
+    raises ``exc`` and which otherwise delegates to a real checker."""
 
-    def __init__(self, inner, exc, fail_times=1):
+    def __init__(self, inner, exc, fail_times=1, after=0):
         self._inner = inner
         self._exc = exc
         self._fail_times = fail_times
+        self._after = after
         self.feeds = 0
 
     def feed(self, records):
         self.feeds += 1
-        if self.feeds <= self._fail_times:
+        if self._after < self.feeds <= self._after + self._fail_times:
             raise self._exc
         self._inner.feed(records)
 
@@ -105,6 +106,44 @@ def test_fatal_checker_fault_is_not_retried(exc):
     assert type(exc).__name__ in result.error
 
 
+def test_race_member_crash_sheds_the_one_checker_and_catches_up():
+    """A crash in the race member sheds the whole checker; catch-up restores
+    both members from the last checkpoint, not from record zero, and the
+    verdicts equal an undisturbed session's."""
+    store = ObjectStoreStub()
+    produce_session(
+        store, "s", PROG, seed=3, num_shards=2,
+        run_kwargs={**WORKLOAD, "log_locks": True, "log_reads": True},
+        throttle=False,
+    )
+    checker_factory, race_factory = session_checkers(PROG, races="both")
+    built = []
+
+    def crashing_races():
+        member = race_factory()
+        built.append(member)
+        if len(built) == 1:  # the live member dies on its fourth batch
+            return _FeedRaises(member, RuntimeError("race member fault"),
+                               after=3)
+        return member
+
+    def serve(races, **kw):
+        return ServeSession(
+            store, "s", 2, checker_factory=checker_factory,
+            race_checker_factory=races, batch_records=8, **kw,
+        ).run()
+
+    reference = serve(race_factory)
+    result = serve(crashing_races, checkpoint_every=8)
+    assert result.ok, result.error
+    assert result.degraded
+    assert "race member fault" in result.stats["degraded_reason"]
+    assert result.stats["catchup_from_seq"] > 0
+    assert len(built) == 2                     # live + catch-up rebuild
+    assert result.outcome.to_dict() == reference.outcome.to_dict()
+    assert result.race_outcome.to_dict() == reference.race_outcome.to_dict()
+
+
 def test_keyboard_interrupt_escapes_the_checker_loop():
     """`except Exception` in ``_check`` must not absorb a Ctrl-C: driven
     synchronously, the interrupt propagates and nothing records it as a
@@ -119,7 +158,7 @@ def test_keyboard_interrupt_escapes_the_checker_loop():
     checker = _FeedRaises(real_factory(), KeyboardInterrupt())
     session.queue.put([object()])              # one batch to trip feed()
     with pytest.raises(KeyboardInterrupt):
-        session._check(checker, None)
+        session._check(checker)
     assert session._checker_error is None
     assert not session._checker_shed
 
@@ -135,7 +174,7 @@ def test_system_exit_escapes_the_checker_loop():
     checker = _FeedRaises(real_factory(), SystemExit(3))
     session.queue.put([object()])
     with pytest.raises(SystemExit):
-        session._check(checker, None)
+        session._check(checker)
     assert session._checker_error is None
 
 

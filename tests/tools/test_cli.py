@@ -791,3 +791,42 @@ def test_verify_chain_unchained_is_policy_not_tampering(tmp_path, capsys):
 def test_verify_chain_rejects_non_session_directory(tmp_path, capsys):
     assert main(["verify-chain", str(tmp_path)]) == 2
     assert "no MANIFEST.json" in capsys.readouterr().err
+
+
+def _bad_input(kind, tmp_path):
+    path = tmp_path / f"{kind}.vlog"
+    if kind == "garbage":
+        path.write_bytes(bytes(range(7, 250, 3)) * 4)
+    elif kind == "truncated-chained":
+        from repro.core.log import save_log
+        from repro.harness import run_program
+
+        run = run_program("multiset-vector", num_threads=2, calls_per_thread=4)
+        save_log(run.log, str(path), chained=True)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) * 3 // 5])
+    return str(path)  # "missing": never written
+
+
+@pytest.mark.parametrize("kind", ["missing", "garbage", "truncated-chained"])
+def test_bad_log_input_is_a_typed_problem_on_every_command(kind, tmp_path, capsys):
+    """A missing, garbage or truncated log never escapes as a traceback:
+    exit 2 and a typed problem (``--json``) or one line on stderr."""
+    import json
+
+    path = _bad_input(kind, tmp_path)
+    commands = [["races", path]]
+    recovers = [()] if kind == "truncated-chained" else [(), ("--recover",)]
+    for recover in recovers:
+        commands.append(["linz", path, "--program", "multiset-vector", *recover])
+        for mode in ("io", "view", "linz", "both"):
+            commands.append(["check", path, "--program", "multiset-vector",
+                             "--mode", mode, *recover])
+    for argv in commands:
+        assert main([*argv, "--json"]) == 2, argv
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is False and payload["error_type"], argv
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, argv
+        assert "Traceback" not in captured.err

@@ -203,3 +203,30 @@ def test_refinement_violation_exit_code_still_one(tmp_path, capsys):
         pytest.fail("seeded bug not triggered")
     assert main(["check", log_path, "--program", "multiset-vector"]) == 1
     capsys.readouterr()
+
+
+def test_check_mode_both_checkpoints_and_resumes(tmp_path, capsys):
+    """``--checkpoint-every``/``--resume`` take the same path in ``both``
+    mode as in io and view mode: the resumed verdict equals the straight
+    one, and a corrupt blob is rejected with a record-zero fallback."""
+    log_path = str(tmp_path / "jv.vlog")
+    ckpt = str(tmp_path / "jv.vyrdckpt")
+    main(["run", "--program", "java-vector", "--buggy", "--threads", "4",
+          "--calls", "20", "--seed", "1", "--save", log_path])
+    capsys.readouterr()
+    check = ["check", log_path, "--program", "java-vector", "--mode", "both",
+             "--all", "--json"]
+    code = main([*check, "--checkpoint", ckpt, "--checkpoint-every", "50"])
+    straight = _json_out(capsys)
+    assert code == 2 and not straight["linz"]["ok"]
+    assert main([*check, "--resume", ckpt]) == code
+    resumed = _json_out(capsys)
+    assert resumed.pop("resume")["resume_seq"] > 0
+    assert resumed == straight
+    with open(ckpt, "ab") as handle:
+        handle.write(b"X")
+    assert main([*check, "--resume", ckpt]) == code
+    fallback = _json_out(capsys)
+    resume = fallback.pop("resume")
+    assert resume["resume_seq"] == 0 and resume["rejected"]
+    assert fallback == straight
