@@ -79,6 +79,10 @@ from .store import LogStore
 FATAL_CHECKER_EXCEPTIONS = (MergeError, MemoryError)
 
 
+class QueueClosed(RuntimeError):
+    """``put`` on a closed :class:`BoundedQueue`: its consumer is gone."""
+
+
 class BoundedQueue:
     """A bounded record-batch queue; blocking ``put`` is the backpressure.
 
@@ -128,7 +132,7 @@ class BoundedQueue:
                     # of burning a 50ms poll per round trip under pressure.
                     self._not_full.wait()
             if self._closed:
-                raise RuntimeError("queue closed")
+                raise QueueClosed("queue closed")
             self._batches.append(batch)
             self._records += len(batch)
             self.max_depth = max(self.max_depth, self._records)
@@ -320,6 +324,8 @@ class ServeSession:
         self.obs = obs if obs is not None else NULL_RECORDER
         # shared between the two daemon threads
         self._canonical: List[Action] = []
+        self._tails: List[ShardTail] = []
+        self._merger: Optional[StreamMerger] = None
         self._ingested = 0
         self._checked = 0
         self._manifest: Optional[dict] = None
@@ -364,11 +370,11 @@ class ServeSession:
             self._ingested += len(batch)
 
     def _ingest(self, process=None) -> None:
-        tails = [
+        self._tails = tails = [
             ShardTail(self.store, self.session, index)
             for index in range(self.num_shards)
         ]
-        merger = StreamMerger(self.num_shards)
+        self._merger = merger = StreamMerger(self.num_shards)
         # Idle deadline, not a wall-clock one: ``timeout`` bounds how long
         # the session tolerates *no progress*.  A slow producer dribbling
         # records for longer than the timeout is healthy as long as each
@@ -444,6 +450,8 @@ class ServeSession:
                 time.sleep(self.poll_interval)
         except MergeError as exc:
             self._ingest_error = f"merge: {exc}"
+        except QueueClosed:
+            pass  # the checker thread stopped on an error it recorded
         finally:
             self._set_pause(False)
             self.queue.close()
@@ -572,6 +580,10 @@ class ServeSession:
                     time.sleep(self.checker_delay)
         except Exception as exc:  # surfaced on the result, not swallowed
             self._checker_error = f"checker: {exc!r}"
+        finally:
+            # Nobody drains the queue after this thread: a full one would
+            # block ingest's put forever.  Closing it stops ingest instead.
+            self.queue.close()
 
     def _catch_up(self, live_checker):
         """Offline catch-up verification after a degraded session.
@@ -695,7 +707,7 @@ class ServeSession:
         result = ServeResult(session=self.session)
         result.manifest = self._manifest
         result.records = len(self._canonical)
-        result.signature = log_signature(self._canonical)
+        result.signature = self._signature()
         result.degraded = self._checker_shed
         if checker is not None:
             final = checker.finish()
@@ -757,17 +769,54 @@ class ServeSession:
                 obs.count("serve.producer_restarts", result.restarts)
         return result
 
+    def _signature(self) -> str:
+        """``log_signature`` of the canonical history.
+
+        The merge hashed every record's frame payload as it emitted it;
+        that is the signature whenever the history holds everything merged.
+        A history that ends short of the merge (a checker thread that
+        stopped on an error) is hashed again, record by record."""
+        merger = self._merger
+        if merger is not None and merger.next_seq == len(self._canonical):
+            signature = merger.signature()
+            if signature is not None:
+                return signature
+        return log_signature(self._canonical)
+
     def _audit_chains(self, manifest: dict) -> List[ChainReport]:
-        """Post-completion audit: re-walk every shard file's full chain
-        against the manifest's acknowledged head digests."""
+        """Post-completion audit of every shard against the manifest's
+        acknowledged head digests.
+
+        A shard whose tail saw no error, ended on the manifest's head and
+        accepted exactly the bytes at rest (same length, same SHA-256) gets
+        its report from the tail.  Any other shard is diagnosed by
+        :func:`verify_chain`, which walks the whole file."""
+        tails = {tail.name: tail for tail in self._tails}
         reports = []
         for entry in manifest.get("shards", ()):
             name = entry["name"]
-            target = self.store.path(name) or self.store.open_read(name)
-            reports.append(
-                verify_chain(target, expected_head=entry.get("head_digest"))
-            )
+            head = entry.get("head_digest")
+            tail = tails.get(name)
+            report = None
+            if tail is not None and tail.started:
+                with self.store.open_read(name) as at_rest:  # the one read
+                    report = tail.audit(at_rest, head)
+            if report is None:
+                report = self._verify_chain(name, head)
+            reports.append(report)
         return reports
+
+    def _verify_chain(self, name: str, head: Optional[str]) -> ChainReport:
+        """:func:`verify_chain` over one shard at rest.  A store without
+        paths is read through a handle closed here, and its report names
+        the blob rather than the handle."""
+        path = self.store.path(name)
+        if path is not None:
+            return verify_chain(path, expected_head=head)
+        with self.store.open_read(name) as handle:
+            report = verify_chain(handle, expected_head=head)
+        report.path = name
+        return report
 
 
 # ---------------------------------------------------------------------------

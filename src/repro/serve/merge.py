@@ -14,14 +14,27 @@ The merger also doubles as a cross-shard integrity check: a duplicate or
 already-emitted sequence number (two shards claiming the same slot -- a
 splice the per-shard hash chains cannot see because each chain is
 internally consistent) raises :exc:`MergeError`.
+
+Records pushed as ``(seq, action, payload)`` -- what
+:meth:`~repro.serve.shard.ShardTail.poll` yields -- are signed as they are
+emitted: their payload bytes fold into one running SHA-256, framed exactly
+as :func:`~repro.core.log.log_signature` frames each record's pickle, so
+:meth:`StreamMerger.signature` is the canonical history's signature without
+pickling a record again.
 """
 
 from __future__ import annotations
 
+import hashlib
+import struct
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Optional, Sequence
 
 from ..core.actions import Action
+
+#: ``log_signature``'s framing: each record's byte length, then the count.
+_LENGTH = struct.Struct("<I")
+_COUNT = struct.Struct("<Q")
 
 
 class MergeError(Exception):
@@ -29,32 +42,37 @@ class MergeError(Exception):
 
 
 class StreamMerger:
-    """Buffer per-shard ``(seq, action)`` runs; emit the contiguous prefix."""
+    """Buffer per-shard ``(seq, action[, payload])`` runs; emit the
+    contiguous prefix."""
 
     def __init__(self, num_shards: int):
-        self._queues: List[Deque[Tuple[int, Action]]] = [
+        self._queues: List[Deque[Sequence]] = [
             deque() for _ in range(num_shards)
         ]
         self._last_pushed: List[Optional[int]] = [None] * num_shards
         #: Next sequence number to emit (== records emitted so far).
         self.next_seq = 0
+        # Running signature of the emitted records; None once one of them
+        # came without its payload.
+        self._signed = hashlib.sha256()
 
-    def push(self, shard: int, items: List[Tuple[int, Action]]) -> None:
+    def push(self, shard: int, items: List[Sequence]) -> None:
         """Add freshly decoded frames from one shard (in file order)."""
         queue = self._queues[shard]
         last = self._last_pushed[shard]
-        for seq, action in items:
+        for item in items:
+            seq = item[0]
             if last is not None and seq <= last:
                 raise MergeError(
                     f"shard {shard} sequence regressed: {seq} after {last}"
                 )
             last = seq
-            queue.append((seq, action))
+            queue.append(item)
         self._last_pushed[shard] = last
 
     def pop_ready(self) -> List[Action]:
         """Emit every buffered record whose turn has come, in order."""
-        out: List[Action] = []
+        ready = []
         queues = self._queues
         while True:
             hit = None
@@ -72,10 +90,32 @@ class StreamMerger:
                         "(duplicate or cross-shard splice)"
                     )
             if hit is None:
-                return out
-            _seq, action = queues[hit].popleft()
-            out.append(action)
+                break
+            ready.append(queues[hit].popleft())
             self.next_seq += 1
+        if ready and self._signed is not None:
+            self._sign(ready)
+        return [item[1] for item in ready]
+
+    def _sign(self, items: List[Sequence]) -> None:
+        parts = []
+        try:
+            for _seq, _action, payload in items:
+                parts.append(_LENGTH.pack(len(payload)))
+                parts.append(payload)
+        except ValueError:  # a bare (seq, action) pair: nothing to hash
+            self._signed = None
+            return
+        self._signed.update(b"".join(parts))
+
+    def signature(self) -> Optional[str]:
+        """``log_signature`` of every record emitted so far, hashed from
+        their frame payloads; None when one was pushed without its payload."""
+        if self._signed is None:
+            return None
+        digest = self._signed.copy()
+        digest.update(_COUNT.pack(self.next_seq))
+        return digest.hexdigest()
 
     @property
     def buffered(self) -> int:

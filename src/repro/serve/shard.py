@@ -26,14 +26,18 @@ exactly the digest the producer acknowledged.
 
 from __future__ import annotations
 
+import hashlib
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import IO, Dict, List, Optional, Tuple
 
 from ..core.actions import Action
 from ..core.log import (
     LOG_MAGIC2,
+    _CHAIN_HEADER,
+    _DIGEST_SIZE,
     _SHARD_PROLOGUE,
     ChainDecoder,
+    ChainReport,
     LogFormatError,
     LogWriter,
 )
@@ -42,6 +46,9 @@ from .store import LogStore
 
 #: Bytes before the first frame of a chained shard: magic + shard id.
 PROLOGUE_SIZE = len(LOG_MAGIC2) + _SHARD_PROLOGUE.size
+
+#: Bytes of a chained frame before its payload: header + previous digest.
+_FRAME_FIXED = _CHAIN_HEADER.size + _DIGEST_SIZE
 
 
 def shard_name(session: str, index: int) -> str:
@@ -205,6 +212,11 @@ class ShardTail:
     is CRC- and chain-verified *as it is ingested*, so a tampered or corrupt
     shard is caught while the session is still live, not at a later audit.
     A detected fault parks on :attr:`error` and the tail goes dead.
+
+    Every byte the tail accepts -- the prologue and whole frames, never a
+    partial frame it discards -- folds into one running SHA-256, so the
+    drain audit (:meth:`audit`) can confirm the shard at rest by its length
+    and one digest instead of decoding it again.
     """
 
     def __init__(self, store: LogStore, session: str, index: int):
@@ -215,6 +227,8 @@ class ShardTail:
         self.records = 0
         self.error: Optional[LogFormatError] = None
         self._decoder: Optional[ChainDecoder] = None
+        self._accepted = hashlib.sha256()
+        self._carry = b""  # bytes the decoder holds as a partial frame
 
     @property
     def started(self) -> bool:
@@ -244,10 +258,14 @@ class ShardTail:
             shard_id=self.index, base_offset=PROLOGUE_SIZE
         )
         self.offset = PROLOGUE_SIZE
+        self._accepted.update(prologue)
         return True
 
-    def poll(self, max_bytes: int = 1 << 20) -> List[Tuple[int, Action]]:
-        """Decode newly appended frames; [] when nothing new (or dead)."""
+    def poll(self, max_bytes: int = 1 << 20) -> List[Tuple[int, Action, bytes]]:
+        """Decode newly appended frames as ``(seq, action, payload)``; []
+        when nothing new (or dead).  ``payload`` is the frame's pickled
+        record exactly as written -- the bytes :func:`log_signature` hashes.
+        """
         if self.error is not None:
             return []
         if self._decoder is None and not self._start():
@@ -261,10 +279,13 @@ class ShardTail:
         end = min(size, self.offset + max_bytes)
         data = self.store.read_range(self.name, self.offset, end)
         self.offset += len(data)
-        frames = self._decoder.feed(data)
-        if self._decoder.error is not None:
-            self.error = self._decoder.error
-        elif end >= size and self._decoder.pending:
+        decoder = self._decoder
+        base = decoder.consumed  # absolute offset of ``buffer[0]``
+        buffer = self._carry + data if self._carry else data
+        frames = decoder.feed(data)
+        if decoder.error is not None:
+            self.error = decoder.error
+        elif end >= size and decoder.pending:
             # We read to the durable end of the shard and a partial frame is
             # left over: a producer mid-flush -- or mid-crash.  Never carry
             # the half-frame across polls: if the producer dies here, the
@@ -274,13 +295,62 @@ class ShardTail:
             # garbage into them.  Dropping the tail keeps ``offset`` pinned
             # to a frame boundary, so salvage truncation is invisible to a
             # live tail.  The bytes re-read next poll are at most one frame.
-            self.offset -= self._decoder.discard_pending()
+            self.offset -= decoder.discard_pending()
+        out = []
+        start = 0
+        for seq, action, frame_end in frames:
+            stop = frame_end - base
+            out.append((seq, action, buffer[start + _FRAME_FIXED : stop]))
+            start = stop
+        self._accepted.update(memoryview(buffer)[:start])
+        self._carry = buffer[start:] if decoder.pending else b""
         self.records += len(frames)
-        return [(seq, action) for seq, action, _end in frames]
+        return out
 
     def at_clean_boundary(self) -> bool:
         """True when every byte handed to the decoder formed whole frames."""
         return self._decoder is None or self._decoder.pending == 0
+
+    def audit(self, at_rest: IO[bytes],
+              expected_head: Optional[str]) -> Optional[ChainReport]:
+        """The chain report of this shard's bytes at rest (read from the
+        handle ``at_rest``) when they are the bytes this tail verified;
+        None when anything differs.
+
+        Equal length and SHA-256 make the file byte-identical to what the
+        tail CRC-checked and chain-verified frame by frame, so the report
+        is the one :func:`~repro.core.log.verify_chain` would return, built
+        without decoding the shard again.  None -- a tail error, a head that
+        is not ``expected_head``, or bytes that differ -- leaves the
+        diagnosis to ``verify_chain``.
+        """
+        decoder = self._decoder
+        if (
+            decoder is None
+            or self.error is not None
+            or expected_head != decoder.head_digest
+        ):
+            return None
+        digest = hashlib.sha256()
+        size = 0
+        while True:
+            chunk = at_rest.read(1 << 20)  # bounded memory, as verify_chain
+            if not chunk:
+                break
+            digest.update(chunk)
+            size += len(chunk)
+        if size != decoder.consumed or digest.digest() != self._accepted.digest():
+            return None
+        return ChainReport(
+            path=self.store.path(self.name) or self.name,
+            chained=True,
+            records=self.records,
+            valid_bytes=size,
+            total_bytes=size,
+            shard_id=self.index,
+            head_digest=decoder.head_digest,
+            head_match=True,
+        )
 
 
 class StoreThrottle:

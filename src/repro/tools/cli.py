@@ -822,7 +822,7 @@ def _problem(args, exc, **fields) -> int:
     :func:`~repro.core.plan.problem_of`, plus ``fields``): the typed problem
     under ``--json``, one line on stderr otherwise.  Exit code 2."""
     payload = {**problem_of(exc), **fields}
-    if args.json:
+    if getattr(args, "json", False):
         print(json.dumps(payload, indent=2))
     else:
         hint = ""
@@ -1308,7 +1308,7 @@ def _collect_chain_targets(paths):
     A directory must hold a session ``MANIFEST.json``; its shard files are
     audited against the manifest's recorded head digests (names in the
     manifest are store-relative, so shards resolve against the session
-    directory's parent).
+    directory's parent).  A manifest that is not one raises ``ValueError``.
     """
     import os
 
@@ -1320,13 +1320,17 @@ def _collect_chain_targets(paths):
                 raise FileNotFoundError(
                     f"{target}: no MANIFEST.json (not a session directory)"
                 )
-            with open(manifest_path, "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
             root = os.path.dirname(os.path.abspath(target))
-            for entry in manifest["shards"]:
-                targets.append((
-                    os.path.join(root, entry["name"]), entry["head_digest"]
-                ))
+            with open(manifest_path, "r", encoding="utf-8") as handle:
+                try:
+                    targets.extend(
+                        (os.path.join(root, entry["name"]), entry["head_digest"])
+                        for entry in json.load(handle)["shards"]
+                    )
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ValueError(
+                        f"{manifest_path}: malformed manifest ({exc!r})"
+                    ) from exc
         else:
             targets.append((target, None))
     return targets
@@ -1340,13 +1344,13 @@ def _cmd_verify_chain(args) -> int:
         return 2
     try:
         targets = _collect_chain_targets(args.paths)
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if args.expected_head:
-        targets = [(path, args.expected_head) for path, _ in targets]
-    reports = [verify_chain(path, expected_head=head)
-               for path, head in targets]
+        if args.expected_head:
+            targets = [(path, args.expected_head) for path, _ in targets]
+        # A damaged file is a report, never an exception; a missing one is.
+        reports = [verify_chain(path, expected_head=head)
+                   for path, head in targets]
+    except (*CHECK_ERRORS, ValueError) as exc:
+        return _problem(args, exc)
     failed = [
         report for report in reports
         if report.tampered or (args.require_chained and not report.chained)
@@ -1393,13 +1397,19 @@ def _cmd_verify_chain(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    log = load_log(args.log)
+    try:
+        log = load_log(args.log)
+    except CHECK_ERRORS as exc:
+        return _problem(args, exc)
     print(render_trace(log, include_writes=args.writes, max_rows=args.max_rows))
     return 0
 
 
 def _cmd_witness(args) -> int:
-    log = load_log(args.log)
+    try:
+        log = load_log(args.log)
+    except CHECK_ERRORS as exc:
+        return _problem(args, exc)
     print(render_witness(log))
     return 0
 

@@ -15,8 +15,11 @@ Pins the triage the handlers implement:
   its last error on every later snapshot (no silent swallow).
 """
 
+import threading
+
 import pytest
 
+from repro.core.log import log_signature
 from repro.serve import (
     MergeError,
     ObjectStoreStub,
@@ -55,7 +58,7 @@ class _FeedRaises:
         return getattr(self._inner, name)
 
 
-def _session(store, exc, calls):
+def _session(store, exc, calls, **session_kw):
     """A produced session whose *first* checker instance raises ``exc`` on
     its first feed; rebuilt instances (catch-up) are healthy."""
     produce_session(
@@ -71,7 +74,22 @@ def _session(store, exc, calls):
             return _FeedRaises(checker, exc)
         return checker
 
-    return ServeSession(store, "s", 2, checker_factory=factory)
+    return ServeSession(store, "s", 2, checker_factory=factory, **session_kw)
+
+
+_SMALL_QUEUE = {"queue_records": 16, "batch_records": 4}
+
+
+def _run_bounded(session, seconds=30.0):
+    """``session.run()`` under a join timeout: a hang fails, not wedges."""
+    out = {}
+    thread = threading.Thread(
+        target=lambda: out.setdefault("result", session.run()), daemon=True
+    )
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"session still running after {seconds}s"
+    return out["result"]
 
 
 def test_fatal_exception_list_is_exactly_merge_and_memory():
@@ -91,19 +109,32 @@ def test_transient_checker_fault_degrades_and_catch_up_heals():
     assert result.error is None
 
 
-@pytest.mark.parametrize("exc", [
-    MergeError("canonical history corrupt"),
-    MemoryError("checker OOM"),
+@pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning"
+)
+@pytest.mark.parametrize("exc, session_kw", [
+    pytest.param(MergeError("canonical history corrupt"), {}, id="exc0"),
+    pytest.param(MemoryError("checker OOM"), {}, id="exc1"),
+    # a queue smaller than the 80-record session: ingest must not block in
+    # put once the dead checker stops draining it
+    pytest.param(MergeError("canonical history corrupt"), _SMALL_QUEUE,
+                 id="exc0-small-queue"),
+    pytest.param(MemoryError("checker OOM"), _SMALL_QUEUE,
+                 id="exc1-small-queue"),
 ])
-def test_fatal_checker_fault_is_not_retried(exc):
+def test_fatal_checker_fault_is_not_retried(exc, session_kw):
     calls = []
-    result = _session(ObjectStoreStub(), exc, calls).run()
+    session = _session(ObjectStoreStub(), exc, calls, **session_kw)
+    result = _run_bounded(session)
     assert not result.ok
     assert not result.degraded                 # no shed, no catch-up ...
     assert result.stats["degraded_reason"] is None
     assert len(calls) == 1                     # ... and no rebuilt checker
     assert result.error is not None
     assert type(exc).__name__ in result.error
+    # what is signed is the history the checker got, which a small queue
+    # cuts short of the merge
+    assert result.signature == log_signature(session._canonical)
 
 
 def test_race_member_crash_sheds_the_one_checker_and_catches_up():

@@ -822,6 +822,11 @@ def test_bad_log_input_is_a_typed_problem_on_every_command(kind, tmp_path, capsy
         for mode in ("io", "view", "linz", "both"):
             commands.append(["check", path, "--program", "multiset-vector",
                              "--mode", mode, *recover])
+    if kind == "missing":
+        commands.append(["verify-chain", path])
+    else:  # a damaged file is a verify-chain report, not a problem
+        assert main(["verify-chain", path]) == 1
+        assert "failed verification" in capsys.readouterr().err
     for argv in commands:
         assert main([*argv, "--json"]) == 2, argv
         payload = json.loads(capsys.readouterr().out)
@@ -830,3 +835,23 @@ def test_bad_log_input_is_a_typed_problem_on_every_command(kind, tmp_path, capsy
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1, argv
         assert "Traceback" not in captured.err
+    for argv in (["trace", path], ["witness", path]):  # no --json option
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, argv
+        assert "Traceback" not in captured.err
+
+
+def test_verify_chain_malformed_manifest_is_a_typed_problem(tmp_path, capsys):
+    import json
+
+    session = tmp_path / "run-00000"
+    session.mkdir()
+    (session / "MANIFEST.json").write_text('{"session": "run-00000", "sha')
+    assert main(["verify-chain", str(session), "--json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False and "malformed manifest" in payload["problem"]
+    assert main(["verify-chain", str(session)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
