@@ -51,7 +51,6 @@ data nodes for one key.
 from __future__ import annotations
 
 import bisect
-import itertools
 from typing import Dict, List, Tuple
 
 from ..concurrency import KernelStopped, Lock, SharedCell, ThreadCtx
@@ -70,6 +69,11 @@ class _NodeSlot:
         self.nid = nid
         self.cell = SharedCell(f"blt.n{nid}", record)
         self.lock = Lock(f"blt.n{nid}")
+
+
+def _link(record) -> tuple:
+    """A node record's ``(high key, right link)``."""
+    return (record[3], record[4]) if record[0] == LEAF else (record[4], record[5])
 
 
 def _covers(record, key) -> bool:
@@ -260,6 +264,10 @@ class BLinkTree:
                 record = yield parent_slot.cell.read()
             _, plevel, keys, children, high, right = record
             position = bisect.bisect_right(keys, sep)
+            if position and keys[position - 1] == sep:
+                # already posted by a root grown over this level
+                yield parent_slot.lock.release()
+                return
             new_keys = keys[:position] + (sep,) + keys[position:]
             new_children = children[: position + 1] + (new_child,) + children[position + 1 :]
             if len(new_keys) <= self.order:
@@ -293,15 +301,24 @@ class BLinkTree:
         root_record = yield self.node(root_nid).cell.read()
         root_level = 0 if root_record[0] == LEAF else root_record[1]
         if root_level < level:
-            # we split the root (or a whole missing level): grow the tree --
-            # pure restructuring, no commit action.
-            new_root = self._alloc_node(
-                (INDEX, level, (sep,), (left_child, new_child), None, None),
-                ctx.tid,
-            )
-            yield new_root.cell.write(
-                (INDEX, level, (sep,), (left_child, new_child), None, None)
-            )
+            # A node on the root's level split: grow the tree -- pure
+            # restructuring, no commit action.  The new root spans that
+            # level from the root along the right links to ``new_child``:
+            # splits left of this one may not have posted yet (their
+            # threads wait on the root lock), and a root over only this
+            # split's pair would drop those nodes from the index.  Their
+            # splitters find their separators posted and skip them;
+            # splits right of ``new_child`` post their own.
+            keys, children = [], [root_nid]
+            record = root_record
+            while children[-1] != left_child:
+                high, right = _link(record)
+                keys.append(high)
+                children.append(right)
+                record = yield self.node(right).cell.read()
+            root = (INDEX, level, (*keys, sep), (*children, new_child), None, None)
+            new_root = self._alloc_node(root, ctx.tid)
+            yield new_root.cell.write(root)
             yield self.root.write(new_root.nid)
             yield self.root_lock.release()
             return None

@@ -12,30 +12,33 @@ provides:
   copy-free bounded window over the shared storage.
 * :class:`LogWriter` / :class:`LogReader` -- streaming pickle serialization
   to a file, standing in for the paper's .NET binary object serialization
-  (section 6.1): records round-trip as they were saved at runtime.  The
-  default on-disk format is *crash-safe*: a magic header followed by
-  length-prefixed frames carrying a per-record CRC32, so a torn or
-  bit-flipped tail is detectable record-by-record instead of poisoning the
-  whole stream.
+  (section 6.1): records round-trip as they were saved at runtime.  Every
+  log is written in one format, the *tamper-evident* chained ``VYRDLOG2``:
+  a magic and shard-id prologue, then one frame per record carrying its
+  global sequence number, a CRC32 of its pickled payload and the SHA-256
+  digest of the previous frame, genesis-seeded per shard (a single-process
+  log is shard 0).  A torn or bit-flipped tail is detectable record by
+  record instead of poisoning the whole stream, and the hash chain catches
+  *deliberate* splice/reorder/rewrite tampering (threat T1 of the related
+  work's threat model) because a forged record cannot produce the digest
+  the next record already committed to.  The reader also accepts the
+  CRC-framed ``VYRDLOG1`` files older sessions wrote; nothing writes that
+  format any more.  :func:`read_prologue` is the one parser of a file's
+  opening bytes, for readers, live shard tails and salvage alike.
 * :exc:`LogFormatError` / :func:`recover_log` -- typed corruption reporting
   (byte offset, record index, cause) and best-effort salvage: long
   instrumented runs die mid-write (killed workers, full disks), and the
-  valid prefix of their log is still a checkable trace.
-* The *tamper-evident* chained format (``chained=True``, magic
-  ``VYRDLOG2``): every frame additionally carries its global sequence
-  number and the SHA-256 digest of the previous frame, genesis-seeded per
-  shard.  A CRC catches accidental bit rot; the hash chain catches
-  *deliberate* splice/reorder/rewrite tampering (threat T1 of the related
-  work's threat model) because a forged record cannot produce the digest
-  the next record already committed to.  :func:`verify_chain` walks a file
-  and reports the first break; :func:`recover_log` on a chained file
-  salvages exactly the longest *chain-valid* prefix.  Clean truncation at
-  a frame boundary is invisible to the chain itself -- pass the shard's
-  expected head digest (recorded out-of-band, e.g. in a shard manifest) to
-  :func:`verify_chain` to close that hole.
+  valid prefix of their log is still a checkable trace.  On a chained file
+  the salvage is exactly the longest *chain-valid* prefix.
+* :func:`verify_chain` walks a file and reports the first break.  Clean
+  truncation at a frame boundary is invisible to the chain itself -- pass
+  the shard's expected head digest (recorded out-of-band, e.g. in a shard
+  manifest) to close that hole.
 * ``sync=True`` adds durability: :meth:`LogWriter.flush` then pushes
   buffered frames through ``fsync``, so a record is never *acknowledged*
   (flush returned) and then lost to a process crash.
+* :func:`log_signature` / :class:`LogSigner` -- the canonical signature of
+  a record sequence, the identity gate between runs.
 * :func:`validate_well_formed` -- the well-formedness conditions of paper
   section 3.2 (per-thread call/return nesting discipline) plus the
   instrumentation obligations of section 4.1 (exactly one commit action per
@@ -166,17 +169,15 @@ class LogView(Sequence):
         return f"<LogView [{self.start}:{self.stop}]>"
 
 
-#: Magic prefix of the crash-safe framed log format (format version 1).
+#: Magic prefix of the CRC-framed format (format version 1).  Read only:
+#: :class:`LogWriter` writes version 2, the reader still loads version 1.
 LOG_MAGIC = b"VYRDLOG1"
 
-#: Magic prefix of the tamper-evident chained format (format version 2).
+#: Magic prefix of the tamper-evident chained format (format version 2),
+#: the one format :class:`LogWriter` writes.
 LOG_MAGIC2 = b"VYRDLOG2"
 
-#: First byte of every pickle at protocol >= 2 (the PROTO opcode): the only
-#: byte a legacy concatenated-``pickle.dump`` stream can legally open with.
-_PICKLE_PROTO = b"\x80"
-
-#: Per-record frame header: little-endian payload length + CRC32 of payload.
+#: Version-1 frame header: little-endian payload length + CRC32 of payload.
 _FRAME_HEADER = struct.Struct("<II")
 
 #: Chained frame header: global sequence number, payload length, payload
@@ -190,6 +191,16 @@ _SHARD_PROLOGUE = struct.Struct("<Q")
 
 _DIGEST_SIZE = 32
 
+#: Bytes before the first frame of a chained file: magic + shard id.
+PROLOGUE_SIZE = len(LOG_MAGIC2) + _SHARD_PROLOGUE.size
+
+#: Bytes of a chained frame before its payload: header + previous digest.
+FRAME_FIXED = _CHAIN_HEADER.size + _DIGEST_SIZE
+
+#: :func:`log_signature`'s framing: each record's byte length, then the count.
+_SIGNED_LENGTH = struct.Struct("<I")
+_SIGNED_COUNT = struct.Struct("<Q")
+
 
 def genesis_digest(shard_id: int) -> bytes:
     """The per-shard seed of the hash chain (digest "before" record 0).
@@ -200,6 +211,51 @@ def genesis_digest(shard_id: int) -> bytes:
     return hashlib.sha256(
         LOG_MAGIC2 + b":genesis:" + _SHARD_PROLOGUE.pack(shard_id)
     ).digest()
+
+
+def read_prologue(head: bytes, shard_id: Optional[int] = None
+                  ) -> Tuple[Optional[int], int]:
+    """Parse the bytes a log file opens with (at least
+    :data:`PROLOGUE_SIZE` of them, when the file has that many).
+
+    Returns ``(shard, start)``: the shard id of a chained file (None for a
+    ``VYRDLOG1`` file) and the offset of its first frame.  ``shard_id``
+    demands a chained prologue of exactly that shard.  Anything else raises
+    :exc:`LogFormatError`: nothing after an unidentifiable prologue can be
+    trusted.
+    """
+    if head.startswith(LOG_MAGIC2):
+        if len(head) < PROLOGUE_SIZE:
+            raise LogFormatError("truncated shard prologue", len(LOG_MAGIC2), 0)
+        (shard,) = _SHARD_PROLOGUE.unpack_from(head, len(LOG_MAGIC2))
+        if shard_id is not None and shard != shard_id:
+            raise LogFormatError(
+                f"shard id mismatch (file says {shard}, expected {shard_id})",
+                len(LOG_MAGIC2), 0,
+            )
+        return shard, PROLOGUE_SIZE
+    if shard_id is None and head.startswith(LOG_MAGIC):
+        return None, len(LOG_MAGIC)
+    expected = "VYRDLOG2" if shard_id is not None else "VYRDLOG2 or VYRDLOG1"
+    raise LogFormatError(
+        f"unrecognized log prologue (no {expected} magic)", 0, 0
+    )
+
+
+def _decode(payload: bytes, offset: int, index: int) -> Action:
+    """Unpickle one frame's payload; anything but a log action is damage."""
+    try:
+        action = pickle.loads(payload)
+    except Exception as exc:
+        raise LogFormatError(
+            f"undecodable record payload: {exc}", offset, index
+        ) from exc
+    if not isinstance(action, Action):
+        raise LogFormatError(
+            f"decoded object is not a log action ({type(action).__name__})",
+            offset, index,
+        )
+    return action
 
 
 class ChainDecoder:
@@ -246,11 +302,6 @@ class ChainDecoder:
         """Bytes buffered that do not yet form a complete frame."""
         return len(self._buffer)
 
-    def _fail(self, cause: str, cause_exc: Optional[BaseException] = None) -> None:
-        self.error = LogFormatError(cause, self.offset, self.index)
-        if cause_exc is not None:
-            self.error.__cause__ = cause_exc
-
     def feed(self, data: bytes) -> List[Tuple[int, Action, int]]:
         """Decode complete frames in ``buffered + data``.
 
@@ -261,34 +312,33 @@ class ChainDecoder:
             return []
         self._buffer.extend(data)
         out: List[Tuple[int, Action, int]] = []
-        fixed = _CHAIN_HEADER.size + _DIGEST_SIZE
         buffer = self._buffer
         while True:
-            if len(buffer) < fixed:
+            if len(buffer) < FRAME_FIXED:
                 break
             seq, length, crc = _CHAIN_HEADER.unpack_from(buffer, 0)
-            if len(buffer) < fixed + length:
+            if len(buffer) < FRAME_FIXED + length:
                 break
-            frame = bytes(buffer[: fixed + length])
-            prev = frame[_CHAIN_HEADER.size : fixed]
-            payload = frame[fixed:]
+            frame = bytes(buffer[: FRAME_FIXED + length])
+            prev = frame[_CHAIN_HEADER.size : FRAME_FIXED]
+            payload = frame[FRAME_FIXED:]
             if prev != self._prev:
-                self._fail(
+                self.error = LogFormatError(
                     "chain digest mismatch (spliced, reordered or rewritten "
-                    "record)"
+                    "record)", self.offset, self.index,
                 )
                 break
             if zlib.crc32(payload) != crc:
-                self._fail("CRC mismatch")
+                self.error = LogFormatError("CRC mismatch", self.offset, self.index)
                 break
             try:
-                action = pickle.loads(payload)
-            except Exception as exc:
-                self._fail(f"undecodable record payload: {exc}", exc)
+                action = _decode(payload, self.offset, self.index)
+            except LogFormatError as error:
+                self.error = error
                 break
             self._prev = hashlib.sha256(frame).digest()
-            del buffer[: fixed + length]
-            self.offset += fixed + length
+            del buffer[: FRAME_FIXED + length]
+            self.offset += FRAME_FIXED + length
             self.consumed = self.offset
             self.index += 1
             out.append((seq, action, self.consumed))
@@ -356,18 +406,20 @@ class LogFormatError(Exception):
 
 
 class LogWriter:
-    """Stream actions to a binary file, one framed pickle record at a time.
+    """Stream actions to a chained (``VYRDLOG2``) file, one frame per record.
 
     Can wrap an open binary file object or a path.  Use as a context manager
     or call :meth:`close` explicitly.
 
-    The default format is *crash-safe*: the stream opens with
-    :data:`LOG_MAGIC` and every record is a length-prefixed frame carrying a
-    CRC32 of its pickled payload, so a reader can tell a clean end-of-log
-    from a torn tail and :func:`recover_log` can salvage everything before
-    the first bad byte.  ``framed=False`` writes the legacy format -- a bare
-    concatenation of pickles, byte-compatible with per-record
-    ``pickle.dump`` output.
+    The stream opens with :data:`LOG_MAGIC2` and ``shard_id`` (a
+    single-process log is shard 0).  Every record is one frame: its global
+    sequence number (``write(action, seq=...)``, the record's index when
+    omitted), the length and CRC32 of its pickled payload, and the SHA-256
+    digest of the previous frame, genesis-seeded from ``shard_id``.  A
+    reader can tell a clean end-of-log from a torn tail, :func:`recover_log`
+    salvages everything before the first bad byte, and a splice, reorder or
+    rewrite breaks the chain.  ``chained`` accepts only True: the
+    ``VYRDLOG1`` format is read-only.
 
     One :class:`pickle.Pickler` is kept for the whole stream -- building the
     pickling machinery per record dominated save time on long logs.  The
@@ -375,99 +427,70 @@ class LogWriter:
     pickle that any frame boundary can decode with a fresh
     :class:`pickle.Unpickler`.
 
-    ``chained=True`` writes the tamper-evident ``VYRDLOG2`` format: every
-    frame carries a global sequence number (``write(action, seq=...)``,
-    auto-incremented from ``start_seq`` when omitted) and the SHA-256 digest
-    of the previous frame, genesis-seeded from ``shard_id``.  ``sync=True``
-    makes :meth:`flush` an *acknowledgment point*: buffered frames are
-    flushed and ``fsync``-ed, so records written before a flush survive any
-    subsequent process crash.  Writes themselves stay buffered -- batch a
-    group of frames, then flush once -- which is how the streaming shard
-    writers amortize the fsync cost.
+    ``sync=True`` makes :meth:`flush` an *acknowledgment point*: buffered
+    frames are flushed and ``fsync``-ed, so records written before a flush
+    survive any subsequent process crash.  Writes themselves stay buffered
+    -- batch a group of frames, then flush once -- which is how the
+    streaming shard writers amortize the fsync cost.
     """
 
-    def __init__(self, target, framed: bool = True, chained: bool = False,
-                 shard_id: int = 0, start_seq: int = 0, sync: bool = False,
-                 resume_digest: Optional[bytes] = None):
+    def __init__(self, target, *, chained: bool = True, shard_id: int = 0,
+                 sync: bool = False, resume_digest: Optional[bytes] = None):
+        if not chained:
+            raise ValueError("LogWriter writes chained VYRDLOG2 logs only")
         if hasattr(target, "write"):
             self._file: IO[bytes] = target
             self._owns = False
         else:
             self._file = open(target, "wb")
             self._owns = True
-        self._framed = framed or chained
-        self._chained = chained
         self._sync = sync
+        self.shard_id = shard_id
         self.records_written = 0
-        if chained:
-            self.shard_id = shard_id
-            self._next_seq = start_seq
-            if resume_digest is not None:
-                # Continuing an existing shard after a crash: the file
-                # already carries its prologue and a chain-valid prefix
-                # whose head is ``resume_digest``; new frames extend that
-                # chain so the finished file is byte-identical to one
-                # written by an uninterrupted producer.
-                self._prev_digest = resume_digest
-            else:
-                self._prev_digest = genesis_digest(shard_id)
-                self._file.write(LOG_MAGIC2 + _SHARD_PROLOGUE.pack(shard_id))
-        elif self._framed:
-            self._file.write(LOG_MAGIC)
-        if self._framed:
-            self._buffer = io.BytesIO()
-            self._pickler = pickle.Pickler(
-                self._buffer, protocol=pickle.HIGHEST_PROTOCOL
-            )
+        self._next_seq = 0
+        if resume_digest is not None:
+            # Continuing an existing shard after a crash: the file already
+            # carries its prologue and a chain-valid prefix whose head is
+            # ``resume_digest``; new frames extend that chain so the
+            # finished file is byte-identical to one written by an
+            # uninterrupted producer.
+            self._prev_digest = resume_digest
         else:
-            self._pickler = pickle.Pickler(
-                self._file, protocol=pickle.HIGHEST_PROTOCOL
-            )
+            self._prev_digest = genesis_digest(shard_id)
+            self._file.write(LOG_MAGIC2 + _SHARD_PROLOGUE.pack(shard_id))
+        self._buffer = io.BytesIO()
+        self._pickler = pickle.Pickler(
+            self._buffer, protocol=pickle.HIGHEST_PROTOCOL
+        )
 
     @property
-    def head_digest(self) -> Optional[str]:
-        """Hex digest of the last chained frame written (None unchained).
+    def head_digest(self) -> str:
+        """Hex digest of the last frame written.
 
         Record it out-of-band (shard manifest) and hand it to
         :func:`verify_chain` to make clean tail truncation detectable.
         """
-        if not self._chained:
-            return None
         return self._prev_digest.hex()
 
-    def _payload(self, action: Action) -> bytes:
+    def write(self, action: Action, seq: Optional[int] = None) -> None:
         buffer = self._buffer
         buffer.seek(0)
         buffer.truncate()
         self._pickler.dump(action)
         self._pickler.clear_memo()
-        return buffer.getvalue()
-
-    def write(self, action: Action, seq: Optional[int] = None) -> None:
-        if not self._framed:
-            self._pickler.dump(action)
-            self._pickler.clear_memo()
-            self.records_written += 1
-            return
-        payload = self._payload(action)
-        if self._chained:
-            if seq is None:
-                seq = self._next_seq
-            self._next_seq = seq + 1
-            frame = (
-                _CHAIN_HEADER.pack(seq, len(payload), zlib.crc32(payload))
-                + self._prev_digest
-                + payload
-            )
-            self._prev_digest = hashlib.sha256(frame).digest()
-            self._file.write(frame)
-        else:
-            # Header and payload go out in one write: an interrupted append
-            # then tears at most the final frame, which recover_log drops
-            # cleanly.
-            self._file.write(
-                _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-            )
+        payload = buffer.getvalue()
+        if seq is None:
+            seq = self._next_seq
+        self._next_seq = seq + 1
+        frame = (
+            _CHAIN_HEADER.pack(seq, len(payload), zlib.crc32(payload))
+            + self._prev_digest
+            + payload
+        )
+        self._prev_digest = hashlib.sha256(frame).digest()
+        # The whole frame goes out in one write: an interrupted append then
+        # tears at most the final frame, which recover_log drops cleanly.
+        self._file.write(frame)
         self.records_written += 1
 
     def write_all(self, actions: Iterable[Action]) -> None:
@@ -500,15 +523,15 @@ class LogWriter:
 
 
 class LogReader:
-    """Iterate actions back out of a file written by :class:`LogWriter`.
+    """Iterate actions back out of a log file.
 
-    The format is auto-detected from the magic prefix: :data:`LOG_MAGIC2`
-    streams are decoded with CRC *and* hash-chain verification (a chain
-    break raises :exc:`LogFormatError` exactly like a CRC failure, so
-    recovery semantics extend to tampering); :data:`LOG_MAGIC` streams are
-    decoded frame-by-frame with CRC validation; anything else is treated as
-    the legacy format (a concatenation of self-contained pickles, e.g.
-    files written record-at-a-time with plain ``pickle.dump``).
+    The prologue (:func:`read_prologue`) picks the decoder: a
+    :data:`LOG_MAGIC2` stream is decoded with CRC *and* hash-chain
+    verification (a chain break raises :exc:`LogFormatError` exactly like a
+    CRC failure, so recovery semantics extend to tampering); a
+    :data:`LOG_MAGIC` stream, the read-only format of older sessions, is
+    decoded frame by frame with CRC validation.  Any other prologue raises
+    :exc:`LogFormatError` at its first byte on iteration.
 
     Truncated or corrupted streams raise :exc:`LogFormatError` with the byte
     offset and index of the first bad record -- never a bare
@@ -532,35 +555,23 @@ class LogReader:
             self._file = open(target, "rb")
             self._owns = True
         start = self._file.tell()
-        head = self._file.read(len(LOG_MAGIC))
-        self._framed = head == LOG_MAGIC
-        self._chained = head == LOG_MAGIC2
-        self.shard_id = 0
-        self._decoder: Optional[ChainDecoder] = None
-        data_start = start
-        if self._chained:
-            prologue = self._file.read(_SHARD_PROLOGUE.size)
-            if len(prologue) < _SHARD_PROLOGUE.size:
-                # an unidentifiable prologue poisons the whole chain
-                self._size = self._file.seek(0, io.SEEK_END)
-                if self._owns:
-                    self._file.close()
-                raise LogFormatError(
-                    "truncated shard prologue", start + len(LOG_MAGIC), 0
-                )
-            (self.shard_id,) = _SHARD_PROLOGUE.unpack(prologue)
-            data_start = start + len(LOG_MAGIC2) + _SHARD_PROLOGUE.size
-        elif self._framed:
-            data_start = start + len(LOG_MAGIC)
-        else:
-            self._file.seek(start)
+        head = self._file.read(PROLOGUE_SIZE)
         self._size = self._file.seek(0, io.SEEK_END)
-        self._file.seek(data_start)
-        self._data_start = data_start
+        self._decoder: Optional[ChainDecoder] = None
+        self._error: Optional[LogFormatError] = None
+        # shard_id: the chained file's shard; None for ``VYRDLOG1``.  A bad
+        # prologue parks its error for the first read to raise.
+        try:
+            self.shard_id, skip = read_prologue(head)
+        except LogFormatError as error:
+            self.shard_id, skip = None, 0
+            self._error = LogFormatError(error.cause, start + error.offset, 0)
+        self._data_start = start + skip
+        self._file.seek(self._data_start)
 
     @property
     def chained(self) -> bool:
-        return self._chained
+        return self.shard_id is not None
 
     @property
     def head_digest(self) -> Optional[str]:
@@ -573,36 +584,22 @@ class LogReader:
         for action, _end in self._records():
             yield action
 
-    def iter_seq(self) -> Iterator[Tuple[int, Action]]:
-        """Yield ``(seq, action)`` from a chained stream (seq = index
-        otherwise, for format-independent callers)."""
-        if self._chained:
-            for (seq, action), _end in self._chained_records():
-                yield seq, action
-        else:
-            for index, action in enumerate(self):
-                yield index, action
-
     def _records(self) -> Iterator[tuple]:
         """Yield ``(action, end_offset)`` pairs; raise :exc:`LogFormatError`
         at the first bad frame."""
-        if self._chained:
-            for (_seq, action), end in self._chained_records():
-                yield action, end
-        elif self._framed:
+        if self._error is not None:
+            raise self._error
+        if self.shard_id is None:
             yield from self._framed_records()
-        else:
-            yield from self._legacy_records()
-
-    def _chained_records(self) -> Iterator[tuple]:
+            return
         self._decoder = decoder = ChainDecoder(
             self.shard_id, base_offset=self._data_start
         )
         file = self._file
         while True:
             data = file.read(1 << 20)
-            for seq, action, end in decoder.feed(data):
-                yield (seq, action), end
+            for _seq, action, end in decoder.feed(data):
+                yield action, end
             if decoder.error is not None:
                 raise decoder.error
             if not data:
@@ -628,72 +625,7 @@ class LogReader:
                 )
             if zlib.crc32(payload) != crc:
                 raise LogFormatError("CRC mismatch", offset, index)
-            try:
-                action = pickle.loads(payload)
-            except Exception as exc:
-                error = LogFormatError(
-                    f"undecodable record payload: {exc}", offset, index
-                )
-                error.__cause__ = exc
-                raise error
-            if not isinstance(action, Action):
-                raise LogFormatError(
-                    "decoded object is not a log action "
-                    f"({type(action).__name__})",
-                    offset, index,
-                )
-            yield action, file.tell()
-            index += 1
-
-    def _legacy_records(self) -> Iterator[tuple]:
-        file = self._file
-        index = 0
-        start = file.tell()
-        head = file.read(1)
-        file.seek(start)
-        if head and head != _PICKLE_PROTO:
-            # Legacy streams are concatenated ``pickle.dump`` records
-            # (protocol >= 2), which always open with the PROTO opcode.
-            # Anything else here is a file whose real prologue -- e.g. a
-            # framed or chained magic -- was damaged into something the
-            # auto-detection no longer recognizes.  Without this check a
-            # bit-flipped magic can demote the file to legacy mode, where
-            # the corrupted bytes may still happen to unpickle (0x56 'V'
-            # is the UNICODE opcode) and resynchronize onto an embedded
-            # record, hallucinating a salvageable prefix that was never
-            # written.  Nothing after an unidentifiable prologue is
-            # trusted.
-            raise LogFormatError(
-                "unrecognized log prologue "
-                "(neither a log magic nor a pickle stream)",
-                start, 0,
-            )
-        while True:
-            offset = file.tell()
-            try:
-                action = pickle.Unpickler(file).load()
-            except EOFError as exc:
-                if offset >= self._size:
-                    return  # clean end of stream
-                error = LogFormatError("truncated pickle record", offset, index)
-                error.__cause__ = exc
-                raise error
-            except Exception as exc:
-                error = LogFormatError(
-                    f"undecodable pickle record: {exc}", offset, index
-                )
-                error.__cause__ = exc
-                raise error
-            if not isinstance(action, Action):
-                # A corrupted prologue (e.g. a bit flip inside a VYRDLOG2
-                # magic) can demote a file to legacy mode, where arbitrary
-                # bytes may still unpickle -- only genuine actions count.
-                raise LogFormatError(
-                    "decoded object is not a log action "
-                    f"({type(action).__name__})",
-                    offset, index,
-                )
-            yield action, file.tell()
+            yield _decode(payload, offset, index), file.tell()
             index += 1
 
     def read_log(self) -> Log:
@@ -718,11 +650,11 @@ class RecoveredLog:
     ``log`` holds the longest valid record prefix.  When the stream was
     damaged, ``error_offset``/``error_record``/``cause`` describe the first
     bad frame exactly as the :exc:`LogFormatError` from a strict read would;
-    a clean stream leaves them ``None``.  For chained (``VYRDLOG2``) files
-    the prefix is the longest *chain-valid* one -- everything after a
-    splice/reorder/rewrite point is rejected even if its CRCs check out --
-    and ``head_digest`` is the chain head over the salvaged records (compare
-    against a manifest to detect clean tail truncation).
+    a clean stream leaves them ``None``.  A chained (``VYRDLOG2``) file
+    carries its ``shard_id``; its prefix is the longest *chain-valid* one
+    (everything after a splice/reorder/rewrite point is rejected even if its
+    CRCs check out), and ``head_digest`` is the chain head over the salvaged
+    records (compare against a manifest to detect clean tail truncation).
     """
 
     log: Log
@@ -731,12 +663,16 @@ class RecoveredLog:
     error_offset: Optional[int] = None
     error_record: Optional[int] = None
     cause: Optional[str] = None
-    chained: bool = False
+    shard_id: Optional[int] = None
     head_digest: Optional[str] = None
 
     @property
     def complete(self) -> bool:
         return self.error_offset is None
+
+    @property
+    def chained(self) -> bool:
+        return self.shard_id is not None
 
     @property
     def records(self) -> int:
@@ -760,8 +696,8 @@ def recover_log(path, obs=None) -> RecoveredLog:
     """Salvage the longest valid record prefix of a (possibly damaged) log.
 
     Never raises on corruption: reads records until the first bad frame,
-    then reports where and why decoding stopped.  Works on both the framed
-    and the legacy format.  A framed log whose magic header itself is
+    then reports where and why decoding stopped.  Works on the chained and
+    the read-only ``VYRDLOG1`` format.  A log whose prologue itself is
     damaged salvages zero records (nothing after an unidentifiable header
     can be trusted).
 
@@ -779,37 +715,25 @@ def recover_log(path, obs=None) -> RecoveredLog:
 
 
 def _recover_log(path) -> RecoveredLog:
-    try:
-        reader = LogReader(path)
-    except LogFormatError as error:
-        # The chained prologue itself is unreadable: nothing after an
-        # unidentifiable header can be trusted, salvage zero records.
-        size = os.path.getsize(path) if not hasattr(path, "read") else 0
-        return RecoveredLog(
-            Log([]), 0, size, error_offset=error.offset,
-            error_record=error.record_index, cause=error.cause,
-            chained=True,
-        )
-    with reader:
-        actions: List[Action] = []
-        valid_bytes = reader._file.tell()  # after the magic, if any
+    actions: List[Action] = []
+    error: Optional[LogFormatError] = None
+    with LogReader(path) as reader:
+        valid_bytes = reader._data_start
         try:
             for action, end in reader._records():
                 actions.append(action)
                 valid_bytes = end
-        except LogFormatError as error:
-            return RecoveredLog(
-                Log(actions), valid_bytes, reader._size,
-                error_offset=error.offset,
-                error_record=error.record_index,
-                cause=error.cause,
-                chained=reader.chained,
-                head_digest=reader.head_digest,
-            )
-        return RecoveredLog(
-            Log(actions), valid_bytes, reader._size,
-            chained=reader.chained, head_digest=reader.head_digest,
-        )
+        except LogFormatError as exc:
+            error = exc
+    recovered = RecoveredLog(
+        Log(actions), valid_bytes, reader._size, shard_id=reader.shard_id,
+        head_digest=reader.head_digest,
+    )
+    if error is not None:
+        recovered.error_offset = error.offset
+        recovered.error_record = error.record_index
+        recovered.cause = error.cause
+    return recovered
 
 
 @dataclass
@@ -863,43 +787,65 @@ class ChainReport:
 
 
 def verify_chain(path, expected_head: Optional[str] = None) -> ChainReport:
-    """Walk a log file verifying its tamper-evident hash chain.
+    """Walk a log file (a path or an open handle) verifying its
+    tamper-evident hash chain.
 
     Never raises on corruption: decodes until the first bad frame and
     reports its byte offset, record index and cause.  ``expected_head`` (a
     hex digest recorded when the file was written, e.g. in a shard
     manifest) additionally detects clean truncation at a frame boundary,
     which removes tail records without breaking any surviving frame.
-    Unchained (``VYRDLOG1`` / legacy) files decode normally but report
+    Read-only ``VYRDLOG1`` files decode normally but report
     ``chained=False``.
     """
     recovered = _recover_log(path)
-    report = ChainReport(
+    return ChainReport(
         path=path if isinstance(path, str) else repr(path),
         chained=recovered.chained,
         records=recovered.records,
         valid_bytes=recovered.valid_bytes,
         total_bytes=recovered.total_bytes,
+        shard_id=recovered.shard_id,
         head_digest=recovered.head_digest,
         error_offset=recovered.error_offset,
         error_record=recovered.error_record,
         cause=recovered.cause,
+        head_match=(
+            None if expected_head is None
+            else recovered.head_digest == expected_head
+        ),
     )
-    if recovered.chained and isinstance(path, str) and recovered.records >= 0:
-        try:
-            with open(path, "rb") as handle:
-                head = handle.read(len(LOG_MAGIC2) + _SHARD_PROLOGUE.size)
-            if head[: len(LOG_MAGIC2)] == LOG_MAGIC2 and len(head) == (
-                len(LOG_MAGIC2) + _SHARD_PROLOGUE.size
-            ):
-                (report.shard_id,) = _SHARD_PROLOGUE.unpack(
-                    head[len(LOG_MAGIC2):]
-                )
-        except OSError:  # pragma: no cover - racing deletion
-            pass
-    if expected_head is not None:
-        report.head_match = recovered.head_digest == expected_head
-    return report
+
+
+class LogSigner:
+    """A running :func:`log_signature` over record payloads.
+
+    Each record's pickled payload is framed by its ``<I`` byte length; the
+    ``<Q`` record count closes the digest.  :func:`log_signature` pickles
+    records into it; the serve merge feeds it the frame payloads its tails
+    already read, so both sign the same bytes.
+    """
+
+    __slots__ = ("_digest", "count")
+
+    def __init__(self):
+        self._digest = hashlib.sha256()
+        self.count = 0
+
+    def add(self, payloads: Iterable[bytes]) -> None:
+        """Fold a batch of record payloads in, with one hash update."""
+        parts = []
+        for payload in payloads:
+            parts.append(_SIGNED_LENGTH.pack(len(payload)))
+            parts.append(payload)
+        self._digest.update(b"".join(parts))
+        self.count += len(parts) // 2
+
+    def hexdigest(self) -> str:
+        """The signature of every record added so far."""
+        digest = self._digest.copy()
+        digest.update(_SIGNED_COUNT.pack(self.count))
+        return digest.hexdigest()
 
 
 def log_signature(records: Iterable[Action]) -> str:
@@ -910,22 +856,16 @@ def log_signature(records: Iterable[Action]) -> str:
     were produced -- the byte-identity gate between a ``vyrd serve`` merged
     history and the single-process single-log run of the same schedule.
     """
-    digest = hashlib.sha256()
-    count = 0
+    signer = LogSigner()
     for action in records:
-        payload = pickle.dumps(action, protocol=pickle.HIGHEST_PROTOCOL)
-        digest.update(struct.pack("<I", len(payload)))
-        digest.update(payload)
-        count += 1
-    digest.update(struct.pack("<Q", count))
-    return digest.hexdigest()
+        signer.add((pickle.dumps(action, protocol=pickle.HIGHEST_PROTOCOL),))
+    return signer.hexdigest()
 
 
-def save_log(log: Log, path, framed: bool = True, chained: bool = False,
-             shard_id: int = 0, sync: bool = False) -> None:
-    """Write ``log`` to ``path`` (convenience wrapper around LogWriter)."""
-    with LogWriter(path, framed=framed, chained=chained, shard_id=shard_id,
-                   sync=sync) as writer:
+def save_log(log: Log, path, *, chained: bool = True) -> None:
+    """Write ``log`` to ``path`` as a chained shard-0 file (convenience
+    wrapper around :class:`LogWriter`; ``chained`` accepts only True)."""
+    with LogWriter(path, chained=chained) as writer:
         writer.write_all(log)
 
 

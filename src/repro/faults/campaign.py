@@ -12,42 +12,37 @@ packaged as a library call (the CLI ``faults`` subcommand and the
    rebuilds, watchdog kills) and its signature must be **bit-identical** to
    the baseline -- recovery is only correct if it is invisible in the
    result.
-3. **Log corruption round** -- produce a pristine framed log, damage copies
-   of it per the plan's torn/bit-flip faults, and check that
-   :func:`~repro.core.log.recover_log` salvages exactly a prefix of the
-   pristine records and reports the corruption offset.  (Record *splices*
-   are excluded here: plain CRC framing cannot see a reorder -- which is
-   exactly what the next round demonstrates the chain catching.)
-4. **Chain round** -- repeat the damage against a *chained* (``VYRDLOG2``)
-   copy of the same log, now including frame-splice tampering, and require
+3. **Log corruption round** -- produce a pristine chained log, damage
+   copies of it per the plan's torn, bit-flip and frame-splice faults, and
+   check that :func:`~repro.core.log.recover_log` salvages exactly a prefix
+   of the pristine records and reports the corruption offset, and that
    :func:`~repro.core.log.verify_chain` (anchored to the pristine head
-   digest) to detect **every** injected fault while
-   :func:`~repro.core.log.recover_log` still salvages an exact chain-valid
-   prefix -- the streaming service's tamper-evidence gate.
-5. **Latency round** (when the plan carries ``slow_io`` faults) -- re-run
+   digest) detects **every** injected fault -- the streaming service's
+   tamper-evidence gate.
+4. **Latency round** (when the plan carries ``slow_io`` faults) -- re-run
    the workload under a :class:`~repro.faults.inject.LatencyTracer` and
    check the produced log is action-for-action identical: injected I/O
    latency must never perturb the deterministic schedule.
-6. **Checkpoint round** -- for the clean *and* the seeded-bug variant of the
+5. **Checkpoint round** -- for the clean *and* the seeded-bug variant of the
    workload, checkpoint the refinement checker mid-log ("kill" it), restore
    a fresh checker from the serialized bytes and feed the tail; the resumed
    verdict -- including every violation's sequence numbers -- must be
    byte-identical to the straight-through run.  A bit-flipped checkpoint
    must be rejected with :class:`~repro.core.CheckpointError` and the
    record-zero fallback replay must reproduce the same verdict.
-7. **Producer-kill round** -- serve the workload with the producer
+6. **Producer-kill round** -- serve the workload with the producer
    subprocess dying abruptly (``os._exit``) mid-session under a
    :class:`~repro.serve.supervise.ProducerSupervisor`; the supervisor must
    salvage, restart within its bounded budget, and the final stream
    signature, chain audit and verdict must be byte-identical to an
    uninterrupted serve of the same seed (clean and seeded-bug variants).
-8. **Store-brownout round** -- serve through a
+7. **Store-brownout round** -- serve through a
    :class:`~repro.faults.inject.FlakyStore` (seeded transient errors,
    latency spikes, a blackout window) wrapped in a
    :class:`~repro.serve.retry.RetryingStore`; the retries must absorb every
    planned failure (``retries > 0`` proves the brownout actually hit) and
    the verdict/signature must match the pristine-store serve.
-9. **Checker-crash catch-up round** -- serve with a checker that crashes
+8. **Checker-crash catch-up round** -- serve with a checker that crashes
    mid-stream; the session must degrade to record-only mode (not fail),
    keep ingesting, and the offline catch-up verification at drain must
    reproduce the healthy verdict byte for byte.
@@ -70,7 +65,7 @@ from ..concurrency.explore import _swarm_chunks, explore_swarm
 from ..core.log import load_log, recover_log, save_log, verify_chain
 from ..harness.runner import ProgramSpec, run_program
 from .inject import apply_log_faults
-from .plan import SPLICE_LOG, FaultPlan
+from .plan import FaultPlan
 
 
 def _digest(signature: dict) -> str:
@@ -182,9 +177,15 @@ def _corruption_round(
     num_threads: int,
     calls_per_thread: int,
 ) -> tuple:
-    """Damage copies of a pristine framed log; verify exact-prefix salvage."""
+    """Damage copies of one pristine chained log per log fault.
+
+    Every fault -- tear, bit flip or record splice -- must be salvaged to
+    an exact prefix of the pristine records, with the stop reported
+    (``recoveries``), and caught by :func:`verify_chain` anchored to the
+    pristine head digest (``chain_checks``).
+    """
     recoveries: List[dict] = []
-    ok = True
+    chain_checks: List[dict] = []
     run = run_program(
         program,
         num_threads=num_threads,
@@ -195,61 +196,10 @@ def _corruption_round(
     try:
         pristine_path = os.path.join(workdir, "pristine.vlog")
         save_log(run.log, pristine_path)
+        expected_head = verify_chain(pristine_path).head_digest
         pristine = [repr(action) for action in load_log(pristine_path)]
         for index, fault in enumerate(plan.log_faults):
-            if fault.kind == SPLICE_LOG:
-                continue  # undetectable on unchained framing; chain round
             victim = os.path.join(workdir, f"victim-{index}.vlog")
-            shutil.copyfile(pristine_path, victim)
-            applied = apply_log_faults(
-                victim, FaultPlan(seed=plan.seed, faults=(fault,))
-            )
-            recovered = recover_log(victim)
-            salvaged = [repr(action) for action in recovered.log]
-            prefix_exact = salvaged == pristine[: len(salvaged)]
-            # A damaged file must either still be complete (a tear that
-            # landed exactly on the final frame boundary) or report where
-            # parsing stopped.
-            reported = recovered.complete or recovered.error_offset is not None
-            entry = {
-                "fault": applied[0] if applied else {"kind": fault.kind},
-                "salvaged_records": len(salvaged),
-                "total_records": len(pristine),
-                "prefix_exact": prefix_exact,
-                "complete": recovered.complete,
-                "valid_bytes": recovered.valid_bytes,
-                "total_bytes": recovered.total_bytes,
-                "error_offset": recovered.error_offset,
-                "cause": recovered.cause,
-            }
-            entry["ok"] = prefix_exact and reported
-            ok = ok and entry["ok"]
-            recoveries.append(entry)
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-    return recoveries, ok, run
-
-
-def _chain_round(plan: FaultPlan, pristine_run) -> tuple:
-    """Damage chained copies per every log fault; require 100% detection.
-
-    The pristine run's log is saved in the tamper-evident ``VYRDLOG2``
-    format and its head digest recorded (the manifest anchor).  Every log
-    fault in the plan -- tears, bit-flips *and* record splices -- must then
-    be caught by :func:`verify_chain`, and :func:`recover_log` must salvage
-    exactly a chain-valid prefix of the pristine records.
-    """
-    checks: List[dict] = []
-    ok = True
-    workdir = tempfile.mkdtemp(prefix="vyrd-chain-")
-    try:
-        pristine_path = os.path.join(workdir, "pristine.vlog2")
-        save_log(pristine_run.log, pristine_path, chained=True)
-        pristine_report = verify_chain(pristine_path)
-        expected_head = pristine_report.head_digest
-        pristine = [repr(action) for action in load_log(pristine_path)]
-        for index, fault in enumerate(plan.log_faults):
-            victim = os.path.join(workdir, f"victim-{index}.vlog2")
             shutil.copyfile(pristine_path, victim)
             applied = apply_log_faults(
                 victim, FaultPlan(seed=plan.seed, faults=(fault,))
@@ -257,24 +207,43 @@ def _chain_round(plan: FaultPlan, pristine_run) -> tuple:
             report = verify_chain(victim, expected_head=expected_head)
             recovered = recover_log(victim)
             salvaged = [repr(action) for action in recovered.log]
-            prefix_exact = salvaged == pristine[: len(salvaged)]
-            entry = {
+            common = {
                 "fault": applied[0] if applied else {"kind": fault.kind},
+                "salvaged_records": len(salvaged),
+                "total_records": len(pristine),
+                "prefix_exact": salvaged == pristine[: len(salvaged)],
+            }
+            recovery = {
+                **common,
+                "complete": recovered.complete,
+                "valid_bytes": recovered.valid_bytes,
+                "total_bytes": recovered.total_bytes,
+                "error_offset": recovered.error_offset,
+                "cause": recovered.cause,
+            }
+            # A damaged file must either still be complete (a tear that
+            # landed exactly on a frame boundary) or report where parsing
+            # stopped.
+            recovery["ok"] = common["prefix_exact"] and (
+                recovered.complete or recovered.error_offset is not None
+            )
+            recoveries.append(recovery)
+            check = {
+                **common,
                 "detected": report.tampered,
                 "error_offset": report.error_offset,
                 "error_record": report.error_record,
                 "cause": report.cause,
                 "head_match": report.head_match,
-                "salvaged_records": len(salvaged),
-                "total_records": len(pristine),
-                "prefix_exact": prefix_exact,
             }
-            entry["ok"] = report.tampered and prefix_exact
-            ok = ok and entry["ok"]
-            checks.append(entry)
+            check["ok"] = report.tampered and common["prefix_exact"]
+            chain_checks.append(check)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-    return checks, ok
+    return (
+        recoveries, all(entry["ok"] for entry in recoveries),
+        chain_checks, all(entry["ok"] for entry in chain_checks), run,
+    )
 
 
 def _checkpoint_round(
@@ -656,8 +625,6 @@ def _linz_recovery_round(program: str, plan: FaultPlan, pristine_run) -> tuple:
         save_log(pristine_run.log, pristine_path)
         pristine = list(load_log(pristine_path))
         for index, fault in enumerate(plan.log_faults):
-            if fault.kind == SPLICE_LOG:
-                continue  # undetectable on unchained framing (chain round)
             victim = os.path.join(workdir, f"victim-{index}.vlog")
             shutil.copyfile(pristine_path, victim)
             applied = apply_log_faults(
@@ -786,11 +753,10 @@ def run_fault_campaign(
     report.num_failures = len(faulted.failures)
     report.interruptions = list(faulted.interruptions)
     with obs.span("campaign.corruption", cat="faults"):
-        report.recoveries, report.recovery_ok, pristine_run = _corruption_round(
+        (report.recoveries, report.recovery_ok, report.chain_checks,
+         report.chain_ok, pristine_run) = _corruption_round(
             program, plan, workload_seed, num_threads, calls_per_thread
         )
-    with obs.span("campaign.chain", cat="faults"):
-        report.chain_checks, report.chain_ok = _chain_round(plan, pristine_run)
     with obs.span("campaign.linz", cat="faults"):
         report.linz_checks, report.linz_ok = _linz_recovery_round(
             plan=plan, program=program, pristine_run=pristine_run

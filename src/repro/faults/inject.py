@@ -19,6 +19,7 @@ import time
 from typing import List, Optional
 
 from ..concurrency.kernel import Tracer
+from ..core.log import _CHAIN_HEADER, FRAME_FIXED, LogFormatError, read_prologue
 from ..serve.store import LogStore
 from .plan import (
     BITFLIP_LOG,
@@ -62,48 +63,31 @@ def bitflip(path: str, offset: int, bit: int = 0) -> int:
     return offset
 
 
-def _frame_spans(path: str):
-    """Byte spans of every frame in a framed log, format auto-detected.
+def _frame_spans(path: str) -> List[tuple]:
+    """``(start, end)`` byte spans of every frame in a chained log.
 
-    Walks the length-prefixed frame headers only -- no CRC or chain checks,
-    no unpickling -- because the injector must be able to splice files it is
-    about to declare corrupt.  Returns ``(spans, data_start)`` where each
-    span is ``(start, end)``; ``([], 0)`` for unframed/legacy files (no
-    frame boundaries to splice at).
+    Walks the frame headers only -- no CRC or chain checks, no unpickling --
+    because the injector must be able to splice files it is about to
+    declare corrupt.  A file that is not chained has no frame boundaries to
+    splice at: no spans.
     """
-    from ..core.log import (
-        _CHAIN_HEADER,
-        _DIGEST_SIZE,
-        _FRAME_HEADER,
-        _SHARD_PROLOGUE,
-        LOG_MAGIC,
-        LOG_MAGIC2,
-    )
-
     with open(path, "rb") as handle:
         data = handle.read()
-    if data.startswith(LOG_MAGIC2):
-        start = len(LOG_MAGIC2) + _SHARD_PROLOGUE.size
-        fixed = _CHAIN_HEADER.size + _DIGEST_SIZE
-        header = _CHAIN_HEADER
-        length_at = 1  # (seq, length, crc)
-    elif data.startswith(LOG_MAGIC):
-        start = len(LOG_MAGIC)
-        fixed = _FRAME_HEADER.size
-        header = _FRAME_HEADER
-        length_at = 0  # (length, crc)
-    else:
-        return [], 0
+    try:
+        shard, offset = read_prologue(data)
+    except LogFormatError:
+        shard = None
+    if shard is None:
+        return []
     spans = []
-    offset = start
-    while offset + fixed <= len(data):
-        fields = header.unpack_from(data, offset)
-        end = offset + fixed + fields[length_at]
+    while offset + FRAME_FIXED <= len(data):
+        _seq, length, _crc = _CHAIN_HEADER.unpack_from(data, offset)
+        end = offset + FRAME_FIXED + length
         if end > len(data):
             break
         spans.append((offset, end))
         offset = end
-    return spans, start
+    return spans
 
 
 def splice_records(path: str, offset: int) -> dict:
@@ -111,11 +95,11 @@ def splice_records(path: str, offset: int) -> dict:
 
     A frame-aware record splice: both frames stay individually intact
     (lengths and CRCs verify), only their order changes -- the tampering a
-    plain CRC-framed log cannot detect and the hash chain exists to catch.
+    CRC alone cannot detect and the hash chain exists to catch.
     Returns the swapped record indices, or ``{"spliced": False}`` when the
     file has fewer than two whole frames (nothing to reorder).
     """
-    spans, _start = _frame_spans(path)
+    spans = _frame_spans(path)
     if len(spans) < 2:
         return {"spliced": False}
     index = 0

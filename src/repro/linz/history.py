@@ -4,9 +4,11 @@ Linearizability checking consumes nothing but the *history* of an
 execution: which operations were invoked, with which arguments, in which
 real-time order, and what they returned.  Every VYRD log level already
 records exactly that (``CallAction``/``ReturnAction``), so any log the
-pipeline can load -- legacy framed ``VYRDLOG1``, hash-chained ``VYRDLOG2``
-shards, or a salvaged prefix from :func:`repro.core.recover_log` -- yields
-a history with no commit annotations required.
+pipeline can load -- a hash-chained ``VYRDLOG2`` file (every log written
+today, a ``run --save`` log or a serve shard), a read-only ``VYRDLOG1``
+file from an older session, or a salvaged prefix from
+:func:`repro.core.recover_log` -- yields a history with no commit
+annotations required.
 
 :func:`extract_history` performs the projection; :class:`History` holds the
 operations plus the call/return *event sequence* in log order, which is the

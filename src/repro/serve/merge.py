@@ -17,24 +17,19 @@ internally consistent) raises :exc:`MergeError`.
 
 Records pushed as ``(seq, action, payload)`` -- what
 :meth:`~repro.serve.shard.ShardTail.poll` yields -- are signed as they are
-emitted: their payload bytes fold into one running SHA-256, framed exactly
-as :func:`~repro.core.log.log_signature` frames each record's pickle, so
-:meth:`StreamMerger.signature` is the canonical history's signature without
-pickling a record again.
+emitted: their payload bytes fold into one running
+:class:`~repro.core.log.LogSigner`, the signer behind
+:func:`~repro.core.log.log_signature`, so :meth:`StreamMerger.signature` is
+the canonical history's signature without pickling a record again.
 """
 
 from __future__ import annotations
 
-import hashlib
-import struct
 from collections import deque
 from typing import Deque, List, Optional, Sequence
 
 from ..core.actions import Action
-
-#: ``log_signature``'s framing: each record's byte length, then the count.
-_LENGTH = struct.Struct("<I")
-_COUNT = struct.Struct("<Q")
+from ..core.log import LogSigner
 
 
 class MergeError(Exception):
@@ -54,7 +49,7 @@ class StreamMerger:
         self.next_seq = 0
         # Running signature of the emitted records; None once one of them
         # came without its payload.
-        self._signed = hashlib.sha256()
+        self._signer: Optional[LogSigner] = LogSigner()
 
     def push(self, shard: int, items: List[Sequence]) -> None:
         """Add freshly decoded frames from one shard (in file order)."""
@@ -93,29 +88,24 @@ class StreamMerger:
                 break
             ready.append(queues[hit].popleft())
             self.next_seq += 1
-        if ready and self._signed is not None:
+        if ready and self._signer is not None:
             self._sign(ready)
         return [item[1] for item in ready]
 
     def _sign(self, items: List[Sequence]) -> None:
-        parts = []
         try:
-            for _seq, _action, payload in items:
-                parts.append(_LENGTH.pack(len(payload)))
-                parts.append(payload)
+            payloads = [payload for _seq, _action, payload in items]
         except ValueError:  # a bare (seq, action) pair: nothing to hash
-            self._signed = None
+            self._signer = None
             return
-        self._signed.update(b"".join(parts))
+        self._signer.add(payloads)
 
     def signature(self) -> Optional[str]:
         """``log_signature`` of every record emitted so far, hashed from
         their frame payloads; None when one was pushed without its payload."""
-        if self._signed is None:
+        if self._signer is None:
             return None
-        digest = self._signed.copy()
-        digest.update(_COUNT.pack(self.next_seq))
-        return digest.hexdigest()
+        return self._signer.hexdigest()
 
     @property
     def buffered(self) -> int:

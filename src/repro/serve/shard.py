@@ -32,23 +32,16 @@ from typing import IO, Dict, List, Optional, Tuple
 
 from ..core.actions import Action
 from ..core.log import (
-    LOG_MAGIC2,
-    _CHAIN_HEADER,
-    _DIGEST_SIZE,
-    _SHARD_PROLOGUE,
+    FRAME_FIXED,
+    PROLOGUE_SIZE,
     ChainDecoder,
     ChainReport,
+    Log,
     LogFormatError,
     LogWriter,
+    read_prologue,
 )
-from ..core.log import Log
 from .store import LogStore
-
-#: Bytes before the first frame of a chained shard: magic + shard id.
-PROLOGUE_SIZE = len(LOG_MAGIC2) + _SHARD_PROLOGUE.size
-
-#: Bytes of a chained frame before its payload: header + previous digest.
-_FRAME_FIXED = _CHAIN_HEADER.size + _DIGEST_SIZE
 
 
 def shard_name(session: str, index: int) -> str:
@@ -98,14 +91,12 @@ class ShardWriter:
         if resume and int(resume.get("records", 0) or 0) > 0:
             self._skip = int(resume["records"])
             self._writer = LogWriter(
-                self._file, chained=True, shard_id=index, sync=sync,
+                self._file, shard_id=index, sync=sync,
                 resume_digest=bytes.fromhex(str(resume["head_digest"])),
             )
         else:
             self._skip = 0
-            self._writer = LogWriter(
-                self._file, chained=True, shard_id=index, sync=sync
-            )
+            self._writer = LogWriter(self._file, shard_id=index, sync=sync)
         self._skipped_base = self._skip
         self._batch = max(1, batch_records)
         self._unflushed = 0
@@ -118,7 +109,7 @@ class ShardWriter:
 
     @property
     def head_digest(self) -> str:
-        return self._writer.head_digest or ""
+        return self._writer.head_digest
 
     def append(self, seq: int, action: Action) -> None:
         self.last_seq = seq
@@ -244,15 +235,10 @@ class ShardTail:
         if size is None or size < PROLOGUE_SIZE:
             return False
         prologue = self.store.read_range(self.name, 0, PROLOGUE_SIZE)
-        if prologue[: len(LOG_MAGIC2)] != LOG_MAGIC2:
-            self.error = LogFormatError("bad shard magic", 0, 0)
-            return False
-        (shard_id,) = _SHARD_PROLOGUE.unpack(prologue[len(LOG_MAGIC2):])
-        if shard_id != self.index:
-            self.error = LogFormatError(
-                f"shard id mismatch (file says {shard_id}, "
-                f"expected {self.index})", len(LOG_MAGIC2), 0,
-            )
+        try:
+            read_prologue(prologue, shard_id=self.index)
+        except LogFormatError as error:
+            self.error = error
             return False
         self._decoder = ChainDecoder(
             shard_id=self.index, base_offset=PROLOGUE_SIZE
@@ -300,7 +286,7 @@ class ShardTail:
         start = 0
         for seq, action, frame_end in frames:
             stop = frame_end - base
-            out.append((seq, action, buffer[start + _FRAME_FIXED : stop]))
+            out.append((seq, action, buffer[start + FRAME_FIXED : stop]))
             start = stop
         self._accepted.update(memoryview(buffer)[:start])
         self._carry = buffer[start:] if decoder.pending else b""

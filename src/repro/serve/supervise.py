@@ -34,12 +34,11 @@ from __future__ import annotations
 
 import random
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..core.log import LOG_MAGIC2, _SHARD_PROLOGUE, ChainDecoder
-from .shard import PROLOGUE_SIZE, manifest_name, restarts_name, shard_name
+from ..core.log import PROLOGUE_SIZE, ChainDecoder, LogFormatError, read_prologue
+from .shard import manifest_name, restarts_name, shard_name
 from .store import LogStore
 
 
@@ -84,20 +83,13 @@ def salvage_shard(store: LogStore, session: str, index: int) -> ShardSalvage:
     polls, so its offset is always at or before the salvage boundary.
     """
     name = shard_name(session, index)
-    size = store.size(name)
-    if size is None or size < PROLOGUE_SIZE:
-        if size is not None:
-            store.delete(name)  # a prologue fragment: useless, remove
-        return ShardSalvage(index, 0, None, 0, size or 0)
+    if store.size(name) is None:
+        return ShardSalvage(index, 0, None, 0, 0)
     data = store.get_bytes(name)
-    if data[: len(LOG_MAGIC2)] != LOG_MAGIC2:
-        store.delete(name)
-        return ShardSalvage(index, 0, None, 0, len(data))
-    (shard_id,) = _SHARD_PROLOGUE.unpack(
-        data[len(LOG_MAGIC2):PROLOGUE_SIZE]
-    )
-    if shard_id != index:
-        store.delete(name)
+    try:
+        read_prologue(data, shard_id=index)
+    except LogFormatError:
+        store.delete(name)  # a prologue fragment or a foreign file: useless
         return ShardSalvage(index, 0, None, 0, len(data))
     decoder = ChainDecoder(shard_id=index, base_offset=PROLOGUE_SIZE)
     decoder.feed(data[PROLOGUE_SIZE:])

@@ -194,7 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "sync/read events); optional value selects "
                                  "the detector (default: both)")
     run_parser.add_argument("--save", metavar="PATH",
-                            help="write the log to PATH for later checking")
+                            help="write the log to PATH for later checking "
+                                 "(a chained VYRDLOG2 file, shard 0)")
     run_parser.add_argument("--lint", nargs="?", const="error",
                             choices=("warn", "error"),
                             help="statically lint the implementation's "
@@ -499,9 +500,9 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="require this chain head (single file "
                                    "only; catches clean tail truncation)")
     chain_parser.add_argument("--require-chained", action="store_true",
-                              help="treat unchained (VYRDLOG1/legacy) "
-                                   "files as a failure instead of 'no "
-                                   "integrity claim'")
+                              help="treat unchained files (the read-only "
+                                   "VYRDLOG1 format) as a failure instead "
+                                   "of 'no integrity claim'")
     chain_parser.add_argument("--json", action="store_true",
                               help="emit the reports as JSON")
 
@@ -1073,7 +1074,8 @@ def _cmd_faults(args) -> int:
     print(
         f"  injected: {counts['crashes']} crash(es), {counts['hangs']} "
         f"hang(s), {counts['torn_logs']} torn log(s), {counts['bitflips']} "
-        f"bit flip(s), {counts['slow_ios']} slow-io"
+        f"bit flip(s), {counts['splices']} splice(s), {counts['slow_ios']} "
+        f"slow-io"
     )
     incidents = report.incident_counts
     survived = ", ".join(f"{k}={v}" for k, v in sorted(incidents.items()))

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import pickle
 import random
+import struct
+import zlib
 
 import pytest
 
@@ -76,3 +79,26 @@ def find_detecting_seed(run_once, seeds=range(64)):
 @pytest.fixture
 def rng():
     return random.Random(1234)
+
+
+def _write_vyrdlog1(path, actions) -> None:
+    """Write ``actions`` to ``path`` in the read-only ``VYRDLOG1`` format.
+
+    A reference framer, independent of :mod:`repro.core.log`: the magic,
+    then per record a ``<II`` header (payload length, CRC32) and the
+    record's self-contained pickle.  Nothing in the package writes this
+    format any more; the reader's compatibility tests get their files here.
+    """
+    with open(path, "wb") as handle:
+        handle.write(b"VYRDLOG1")
+        for action in actions:
+            payload = pickle.dumps(action, protocol=pickle.HIGHEST_PROTOCOL)
+            handle.write(struct.pack("<II", len(payload), zlib.crc32(payload)))
+            handle.write(payload)
+
+
+@pytest.fixture(scope="session")
+def write_vyrdlog1():
+    """The ``VYRDLOG1`` reference framer (session scope, so Hypothesis
+    tests can take it)."""
+    return _write_vyrdlog1

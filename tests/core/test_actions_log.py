@@ -5,6 +5,8 @@ import pickle
 import time
 from dataclasses import fields
 
+import pytest
+
 from repro.core import (
     AcquireAction,
     Action,
@@ -25,8 +27,15 @@ from repro.core import (
     SpawnAction,
     WriteAction,
     load_log,
+    recover_log,
     save_log,
     validate_well_formed,
+)
+from repro.core.log import (
+    _CHAIN_HEADER,
+    FRAME_FIXED,
+    PROLOGUE_SIZE,
+    LogFormatError,
 )
 
 
@@ -179,34 +188,47 @@ def test_stream_round_trip_in_memory():
 
 
 def test_framed_records_are_independently_loadable(tmp_path):
-    """The stream pickler's memo is cleared per record, so every record is a
-    self-contained pickle frame: a fresh Unpickler at any record boundary
-    must succeed, even with payload objects repeated across records.
-    (``framed=False`` is the legacy bare-pickle format; the default framed
-    format wraps each of these same pickles in a length+CRC header.)"""
+    """The stream pickler's memo is cleared per record, so every chained
+    frame's payload is a self-contained pickle: a fresh Unpickler at any
+    frame must succeed, even with payload objects repeated across
+    records."""
     payload = ("shared-payload", 7)
     log = Log(CallAction(0, i, "m", (payload,)) for i in range(6))
     path = tmp_path / "framed.vyrdlog"
-    save_log(log, path, framed=False)
+    save_log(log, path)
+    data = path.read_bytes()
     restored = []
-    with open(path, "rb") as handle:
-        while True:
-            try:
-                restored.append(pickle.Unpickler(handle).load())
-            except EOFError:
-                break
+    offset = PROLOGUE_SIZE
+    while offset < len(data):
+        _seq, length, _crc = _CHAIN_HEADER.unpack_from(data, offset)
+        start = offset + FRAME_FIXED
+        restored.append(pickle.loads(data[start:start + length]))
+        offset = start + length
     assert restored == list(log)
 
 
-def test_reader_loads_legacy_per_record_dumps(tmp_path):
-    """Files written record-at-a-time with plain pickle.dump (the pre-framing
-    format) load unchanged through the persistent-unpickler reader."""
-    log = _sync_log()
-    path = tmp_path / "legacy.vyrdlog"
+def _bare_pickle_stream(path):
+    """Records dumped one after another with plain ``pickle.dump``: the
+    pre-framing format, which no reader accepts any more."""
     with open(path, "wb") as handle:
-        for action in log:
+        for action in _sync_log():
             pickle.dump(action, handle, protocol=pickle.HIGHEST_PROTOCOL)
-    assert list(load_log(path)) == list(log)
+
+
+def test_bare_pickle_stream_is_an_unrecognized_prologue(tmp_path):
+    """No magic, no log: a strict read fails at byte 0 and a salvage keeps
+    nothing.  (``check``, ``linz`` and ``races`` on such a stream exit 2:
+    ``test_bad_log_input_is_a_typed_problem_on_every_command``.)"""
+    path = tmp_path / "bare.pickle"
+    _bare_pickle_stream(path)
+    with pytest.raises(LogFormatError) as caught:
+        load_log(path)
+    assert (caught.value.offset, caught.value.record_index) == (0, 0)
+    assert "unrecognized log prologue" in caught.value.cause
+    recovered = recover_log(path)
+    assert recovered.records == 0 and not recovered.complete
+    assert recovered.error_offset == 0 and not recovered.chained
+    assert recovered.total_bytes == path.stat().st_size
 
 
 def test_reduce_is_type_and_field_values_for_every_action():

@@ -28,8 +28,14 @@ def test_campaign_survives_and_matches_serial(report):
 
 
 def test_campaign_salvages_every_corruption(report):
-    assert report.recovery_ok
-    assert len(report.recoveries) == 2  # one tear + one bitflip planned
+    assert report.recovery_ok and report.chain_ok
+    # one entry of each per planned log fault: a tear, a bit flip, a splice
+    planned = [f["kind"] for f in report.plan["faults"]
+               if f["kind"] in ("torn_log", "bitflip_log", "splice_log")]
+    assert sorted(planned) == ["bitflip_log", "splice_log", "torn_log"]
+    assert len(report.recoveries) == len(report.chain_checks) == 3
+    for entry in report.chain_checks:
+        assert entry["ok"] and entry["detected"] and entry["prefix_exact"]
     for entry in report.recoveries:
         assert entry["ok"]
         assert entry["prefix_exact"]

@@ -44,7 +44,8 @@ def test_acknowledged_records_survive_worker_crash(tmp_path):
     child.start()
     child.join(timeout=60)
     assert child.exitcode == 13  # the injector's crash exit
-    acked = int(open(ack_path).read())
+    with open(ack_path) as handle:
+        acked = int(handle.read())
     assert acked == 96  # 6 full batches acknowledged, 4 records in flight
     recovered = recover_log(path)
     # Every acknowledged record is there...

@@ -1,7 +1,7 @@
 """Property: the B-link tree agrees with a dict model and keeps its shape."""
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro import Kernel, Vyrd
 from repro.boxwood import BLinkTree, BLinkTreeSpec, blinktree_view
@@ -83,6 +83,7 @@ def test_compression_never_changes_contents(ops, seed):
 
 
 @given(st.integers(0, 10_000), st.integers(min_value=2, max_value=4))
+@example(seed=120, order=2)  # a split raced ahead of the root leaf's own
 @settings(max_examples=25, deadline=None)
 def test_concurrent_runs_verified_clean(seed, order):
     """Random concurrent insert/delete/lookup mixes are always accepted by

@@ -6,6 +6,10 @@ raise, (b) return exactly the records of every frame that precedes the
 damage -- computed here from ground-truth frame boundaries, not from the
 reader under test -- and (c) report the byte offset where parsing stopped
 whenever anything was lost.
+
+The files are read-only ``VYRDLOG1`` logs from the suite's reference framer
+(``write_vyrdlog1`` in ``conftest.py``); the chained format's oracles live
+in ``test_props_chain.py``.
 """
 
 import os
@@ -22,7 +26,6 @@ from repro.core import (
     ReturnAction,
     WriteAction,
     recover_log,
-    save_log,
 )
 from repro.core.log import LOG_MAGIC
 from repro.faults import bitflip, tear
@@ -69,18 +72,18 @@ def _frame_boundaries(path) -> list:
     return boundaries
 
 
-def _saved(history):
+def _saved(history, write_vyrdlog1):
     log = _history_to_log(history)
     fd, path = tempfile.mkstemp(suffix=".vyrdlog")
     os.close(fd)
-    save_log(log, path)
+    write_vyrdlog1(path, log)
     return log, path
 
 
 @given(history_strategy, st.data())
 @settings(max_examples=80, deadline=None)
-def test_truncation_salvages_longest_valid_prefix(history, data):
-    log, path = _saved(history)
+def test_truncation_salvages_longest_valid_prefix(write_vyrdlog1, history, data):
+    log, path = _saved(history, write_vyrdlog1)
     try:
         size = os.path.getsize(path)
         boundaries = _frame_boundaries(path)
@@ -115,8 +118,8 @@ def test_truncation_salvages_longest_valid_prefix(history, data):
 
 @given(history_strategy, st.data())
 @settings(max_examples=80, deadline=None)
-def test_bitflip_salvages_frames_before_the_damage(history, data):
-    log, path = _saved(history)
+def test_bitflip_salvages_frames_before_the_damage(write_vyrdlog1, history, data):
+    log, path = _saved(history, write_vyrdlog1)
     try:
         size = os.path.getsize(path)
         boundaries = _frame_boundaries(path)
@@ -145,8 +148,8 @@ def test_bitflip_salvages_frames_before_the_damage(history, data):
 
 @given(history_strategy, st.integers(0, 7), st.data())
 @settings(max_examples=20, deadline=None)
-def test_damaged_magic_never_raises(history, bit, data):
-    _log, path = _saved(history)
+def test_damaged_magic_never_raises(write_vyrdlog1, history, bit, data):
+    _log, path = _saved(history, write_vyrdlog1)
     try:
         offset = data.draw(st.integers(0, len(LOG_MAGIC) - 1), label="at")
         bitflip(path, offset, bit)

@@ -6,9 +6,6 @@ supervisor yields byte-identical shards -- and therefore signature, chain
 audit and verdict -- to an uninterrupted run of the same seed.
 """
 
-import json
-import os
-
 import pytest
 
 from repro.core import verify_chain
@@ -78,7 +75,8 @@ def test_salvage_truncates_to_chain_valid_prefix(tmp_path):
     assert torn.records == full.records
     assert torn.dropped_bytes == 7
     assert store.get_bytes(name) == intact
-    assert verify_chain(store.open_read(name)).ok
+    with store.open_read(name) as handle:
+        assert verify_chain(handle).ok
     assert torn.head_digest == full.head_digest
 
 

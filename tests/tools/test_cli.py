@@ -231,7 +231,8 @@ def test_check_damaged_log_strict_vs_recover(tmp_path, capsys):
     ])
     capsys.readouterr()
     # tear the tail off: strict check refuses with a typed diagnosis...
-    data = open(log_path, "rb").read()
+    with open(log_path, "rb") as handle:
+        data = handle.read()
     with open(log_path, "wb") as handle:
         handle.write(data[: int(len(data) * 0.6)])
     assert main(["check", log_path, "--program", "multiset-vector"]) == 2
@@ -775,17 +776,35 @@ def test_verify_chain_pinpoints_flipped_byte(tmp_path, capsys):
     assert "[ok]" in out  # the untouched shard still verifies
 
 
-def test_verify_chain_unchained_is_policy_not_tampering(tmp_path, capsys):
+def test_verify_chain_unchained_is_policy_not_tampering(
+    tmp_path, capsys, write_vyrdlog1
+):
+    from repro.harness import run_program
+
     log_path = str(tmp_path / "legacy.vyrdlog")
+    run = run_program("multiset-vector", num_threads=2, calls_per_thread=4)
+    write_vyrdlog1(log_path, run.log)
+    assert main(["verify-chain", log_path]) == 0
+    assert "unchained" in capsys.readouterr().out
+    assert main(["verify-chain", "--require-chained", log_path]) == 1
+    assert "UNCHAINED" in capsys.readouterr().out
+
+
+def test_run_save_writes_a_chained_shard_zero(tmp_path, capsys):
+    import json
+
+    log_path = str(tmp_path / "run.vlog")
     main([
         "run", "--program", "multiset-vector", "--threads", "2",
         "--calls", "4", "--save", log_path,
     ])
     capsys.readouterr()
-    assert main(["verify-chain", log_path]) == 0
-    assert "unchained" in capsys.readouterr().out
-    assert main(["verify-chain", "--require-chained", log_path]) == 1
-    assert "UNCHAINED" in capsys.readouterr().out
+    with open(log_path, "rb") as handle:
+        assert handle.read(8) == b"VYRDLOG2"
+    assert main(["verify-chain", "--require-chained", log_path, "--json"]) == 0
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    assert report["chained"] and report["shard_id"] == 0
+    assert report["records"] > 0
 
 
 def test_verify_chain_rejects_non_session_directory(tmp_path, capsys):
@@ -805,13 +824,31 @@ def _bad_input(kind, tmp_path):
         save_log(run.log, str(path), chained=True)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) * 3 // 5])
+    elif kind == "chained-non-actions":
+        # every frame's CRC and chain digest verify; no payload is an action
+        from repro.core.log import LogWriter
+
+        with LogWriter(str(path)) as writer:
+            for value in ({"op": "insert"}, ("call", 3), "return"):
+                writer.write(value)
+    elif kind == "bare-pickle":
+        import pickle
+
+        from repro.core import CallAction, ReturnAction
+
+        with open(path, "wb") as handle:
+            for action in (CallAction(0, 0, "insert", (3,)),
+                           ReturnAction(0, 0, "insert", "success")):
+                pickle.dump(action, handle, protocol=pickle.HIGHEST_PROTOCOL)
     return str(path)  # "missing": never written
 
 
-@pytest.mark.parametrize("kind", ["missing", "garbage", "truncated-chained"])
+@pytest.mark.parametrize("kind", ["missing", "garbage", "truncated-chained",
+                                  "chained-non-actions", "bare-pickle"])
 def test_bad_log_input_is_a_typed_problem_on_every_command(kind, tmp_path, capsys):
-    """A missing, garbage or truncated log never escapes as a traceback:
-    exit 2 and a typed problem (``--json``) or one line on stderr."""
+    """A missing, garbage, truncated, non-action or bare-pickle log never
+    escapes as a traceback: exit 2 and a typed problem (``--json``) or one
+    line on stderr."""
     import json
 
     path = _bad_input(kind, tmp_path)
