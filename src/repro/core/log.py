@@ -743,9 +743,12 @@ class ChainReport:
     ``tampered`` is True when the chain (or framing) broke mid-file, *or*
     when an ``expected_head`` was supplied and the file's chain head does
     not match it (the clean-truncation case the chain alone cannot see).
-    Unchained files report ``chained=False`` and never ``tampered`` -- they
-    carry no integrity claim to violate; callers that require one should
-    treat ``chained=False`` as a policy failure instead.
+    A file that is not chained reports ``chained=False``.  An intact one
+    (a ``VYRDLOG1`` file) is never ``tampered``: it carries no integrity
+    claim to violate, and callers that require one should treat
+    ``chained=False`` as a policy failure instead.  A damaged one (a torn
+    ``VYRDLOG1`` file, or bytes with no log prologue at all) is
+    ``tampered``, with the offset and cause of the damage.
     """
 
     path: str

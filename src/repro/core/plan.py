@@ -60,9 +60,14 @@ class SearchBudgetExceeded(Exception):
         )
 
 
+class HistoryError(Exception):
+    """The log's call/return records do not form a history (tool misuse:
+    a return without a call, or a duplicated operation id)."""
+
+
 #: Errors that end a check without a verdict: a damaged log, an exhausted
-#: search budget, a file that cannot be read.
-CHECK_ERRORS = (LogFormatError, SearchBudgetExceeded, OSError)
+#: search budget, a log with no linz history, a file that cannot be read.
+CHECK_ERRORS = (LogFormatError, SearchBudgetExceeded, HistoryError, OSError)
 
 
 def problem_of(exc: BaseException) -> Dict[str, Any]:

@@ -1,8 +1,9 @@
 """End-to-end fault campaigns: inject faults, recover, prove serial identity.
 
 A campaign is the tentpole acceptance test of the fault-tolerance layer,
-packaged as a library call (the CLI ``faults`` subcommand and the
-``bench_fault_soak`` benchmark are thin wrappers over it):
+packaged as a library call (the CLI ``faults`` subcommand is a thin wrapper
+over it, and ``tests/faults/test_campaign.py`` soaks it over several plan
+seeds):
 
 1. **Baseline** -- run a serial, fault-free swarm exploration of the target
    workload and digest its canonical :meth:`ExplorationResult.signature`.
@@ -463,9 +464,10 @@ def _store_brownout_round(
 
     store_faults = plan.store_faults
     if not store_faults:
+        # the blackout starts inside the session's 13-20 store ops
         store_faults = (
             Fault(FLAKY_STORE, frac=0.25, seconds=0.0005, every=32),
-            Fault(STORE_OUTAGE, task=64, seconds=0.03),
+            Fault(STORE_OUTAGE, task=4, seconds=0.03),
         )
     brown_plan = FaultPlan(seed=plan.seed, faults=store_faults)
     checks: List[dict] = []
@@ -481,8 +483,10 @@ def _store_brownout_round(
             store, "ref", program, workload_seed, run_kwargs
         )
         flaky = FlakyStore(store, brown_plan)
+        # A 0.05 s blackout fails up to four attempts of one op, and the
+        # flaky store up to two more in a row: eight retries ride out both.
         retrying = RetryingStore(
-            flaky, retries=4, seed=plan.seed,
+            flaky, retries=8, seed=plan.seed,
             backoff_base=0.005, backoff_max=0.05,
         )
         daemon = ServeSession(

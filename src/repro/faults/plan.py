@@ -165,8 +165,10 @@ class FaultPlan:
                                 seconds=0.0005,
                                 every=rng.randrange(16, 64)))
         for _ in range(outages):
+            # A brownout session makes 13-20 store ops: start the blackout
+            # inside them, or it never bites.
             faults.append(Fault(STORE_OUTAGE,
-                                task=rng.randrange(16, 256),
+                                task=rng.randrange(2, 12),
                                 seconds=outage_seconds))
         return cls(seed=seed, faults=tuple(faults))
 

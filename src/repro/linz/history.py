@@ -28,15 +28,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.actions import CallAction, ReturnAction
+from ..core.plan import HistoryError
 
 #: Event tags in :attr:`History.events`.
 CALL = "call"
 RET = "return"
-
-
-class HistoryError(Exception):
-    """The log's call/return records do not form a history (tool misuse:
-    a return without a call, or a duplicated operation id)."""
 
 
 @dataclass(frozen=True)

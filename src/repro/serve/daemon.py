@@ -64,6 +64,7 @@ from ..core.actions import Action
 from ..core.log import ChainReport, log_signature, verify_chain
 from ..obs import NULL_RECORDER, Recorder
 from .merge import MergeError, StreamMerger
+from .retry import StoreUnavailable
 from .shard import ShardTail, health_name, manifest_name, pause_name
 from .store import LogStore
 
@@ -450,11 +451,18 @@ class ServeSession:
                 time.sleep(self.poll_interval)
         except MergeError as exc:
             self._ingest_error = f"merge: {exc}"
+        except StoreUnavailable as exc:  # a RetryingStore spent its budget
+            self._ingest_error = f"store: {exc!r}"
         except QueueClosed:
             pass  # the checker thread stopped on an error it recorded
         finally:
-            self._set_pause(False)
+            # Close first: a pause flag the store cannot clear must not
+            # leave the checker thread waiting on the queue forever.
             self.queue.close()
+            try:
+                self._set_pause(False)
+            except StoreUnavailable as exc:
+                self._ingest_error = self._ingest_error or f"store: {exc!r}"
 
     # -- checker side --------------------------------------------------------
 

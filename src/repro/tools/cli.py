@@ -794,8 +794,8 @@ def _cmd_explore(args) -> int:
         )
         if result.pruned:
             # pruned counts cut *branches*; each one roots a whole
-            # unexplored subtree, so the true reduction factor (measured
-            # by benchmarks/bench_schedule_reduction.py) is much larger.
+            # unexplored subtree, so the true reduction factor (gated at
+            # >= 5x by tests/concurrency/test_reduction.py) is much larger.
             print(
                 f"static reduction cut {result.pruned} schedule branch(es) "
                 f"({result.num_runs} of {result.requested} discovered "
@@ -1366,24 +1366,25 @@ def _cmd_verify_chain(args) -> int:
         }, indent=2))
         return 1 if failed else 0
     for report in reports:
-        if not report.chained:
+        # Damage first: a file that is not a log at all reads as unchained.
+        if report.error_offset is not None:
+            where = "chain breaks" if report.chained else "unreadable"
+            print(
+                f"[TAMPERED] {report.path}: {where} at byte "
+                f"{report.error_offset} (record {report.error_record}): "
+                f"{report.cause}; {report.records} records salvageable"
+            )
+        elif not report.chained:
             state = "UNCHAINED" if args.require_chained else "unchained"
             print(f"[{state}] {report.path}: {report.records} records "
                   f"(no integrity claim)")
-            continue
-        if report.ok:
+        elif report.ok:
             anchored = (
                 " (head matches manifest)" if report.head_match else ""
             )
             print(
                 f"[ok] {report.path}: {report.records} records, head "
                 f"{report.head_digest[:16]}...{anchored}"
-            )
-        elif report.error_offset is not None:
-            print(
-                f"[TAMPERED] {report.path}: chain breaks at byte "
-                f"{report.error_offset} (record {report.error_record}): "
-                f"{report.cause}; {report.records} records salvageable"
             )
         else:
             print(

@@ -79,14 +79,20 @@ def _tree_program(shape, scheduler):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("program", ["multiset-vector", "bounded-queue"])
+@pytest.mark.parametrize("program, calls, runs", [
+    pytest.param("multiset-vector", 3, 8, id="multiset-vector"),
+    pytest.param("bounded-queue", 3, 8, id="bounded-queue"),
+    pytest.param("multiset-vector", 4, 40, id="multiset-vector-2x4-40runs"),
+])
 @pytest.mark.parametrize("jobs", JOBS)
-def test_parallel_swarm_matches_serial_on_registry_programs(program, jobs):
-    spec = ProgramSpec(program, num_threads=2, calls_per_thread=3)
-    serial = explore_swarm(spec.resolve_program(), num_runs=8)
-    parallel = explore_swarm(spec, num_runs=8, jobs=jobs)
+def test_parallel_swarm_matches_serial_on_registry_programs(
+    program, calls, runs, jobs
+):
+    spec = ProgramSpec(program, num_threads=2, calls_per_thread=calls)
+    serial = explore_swarm(spec.resolve_program(), num_runs=runs)
+    parallel = explore_swarm(spec, num_runs=runs, jobs=jobs)
     assert parallel.signature() == serial.signature()
-    assert parallel.requested == 8 and parallel.skipped == 0
+    assert parallel.requested == runs and parallel.skipped == 0
 
 
 @pytest.mark.parametrize("jobs", JOBS)

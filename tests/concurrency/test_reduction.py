@@ -18,6 +18,8 @@ from repro.concurrency.reduction import (
     describe_syscall,
     steps_commute,
 )
+from repro.harness import ProgramSpec
+from repro.lint.effects import analyze_program
 
 
 # -- synthetic two-operation class -----------------------------------------
@@ -185,16 +187,53 @@ def test_opaque_reducer_never_prunes():
 
 
 def test_serial_and_parallel_reduced_agree():
-    serial = explore_exhaustive(
-        _disjoint_program, max_runs=100_000, reducer=_IND
+    blinktree = ProgramSpec(
+        "blinktree", num_threads=3, calls_per_thread=1, workload_seed=7,
+        daemons=False,
     )
-    par = explore_exhaustive(
-        _disjoint_program, max_runs=100_000, jobs=2, chunk_size=4,
-        reducer=_IND,
+    for program, reducer in [
+        (_disjoint_program, _IND),
+        (blinktree, StaticReducer.from_effects(analyze_program("blinktree"))),
+    ]:
+        serial = explore_exhaustive(program, max_runs=100_000, reducer=reducer)
+        par = explore_exhaustive(
+            program, max_runs=100_000, jobs=2, chunk_size=4, reducer=reducer,
+        )
+        assert serial.exhausted
+        assert par.signature() == serial.signature()
+        assert par.pruned == serial.pruned
+        assert par.requested == par.num_runs + par.skipped
+
+
+# Workload seeds fix the operation mix (only the schedule varies):
+# blinktree 13 gives two lookup+delete threads; multiset-vector 16 gives two
+# plain inserts, whose buggy variant (the moved-acquire FindSlot bug) fails
+# refinement.  Daemons stay off: their loops make the schedule tree infinite.
+@pytest.mark.parametrize("program, buggy, threads, calls, workload_seed", [
+    ("blinktree", False, 2, 2, 13),
+    ("multiset-vector", True, 2, 1, 16),
+])
+def test_static_reduction_keeps_hb_orders_and_violations(
+    program, buggy, threads, calls, workload_seed
+):
+    """Sleep-set pruning covers every happens-before order and reports
+    every violation of the unreduced enumeration, in >= 5x fewer runs."""
+    spec = ProgramSpec(
+        program, buggy=buggy, num_threads=threads, calls_per_thread=calls,
+        workload_seed=workload_seed, daemons=False, fingerprint=True,
     )
-    assert par.signature() == serial.signature()
-    assert par.pruned == serial.pruned
-    assert par.requested == par.num_runs + par.skipped
+    reducer = StaticReducer.from_effects(analyze_program(program))
+    base = explore_exhaustive(spec, max_runs=60_000)
+    reduced = explore_exhaustive(spec, max_runs=60_000, reducer=reducer)
+
+    def violations(result):
+        return {(type(f.error).__name__, str(f.error)) for f in result.failures}
+
+    assert base.exhausted and reduced.exhausted
+    assert reduced.outcomes() == base.outcomes()
+    assert violations(reduced) == violations(base)
+    assert bool(violations(base)) == buggy
+    assert base.num_runs >= 5 * reduced.num_runs
 
 
 def test_kernel_feeds_steps_to_scheduler_hook():

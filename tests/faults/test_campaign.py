@@ -1,4 +1,4 @@
-"""The end-to-end fault campaign and its CLI/benchmark surfaces."""
+"""The end-to-end fault campaign, its CLI surface and its soak."""
 
 import json
 import multiprocessing
@@ -135,32 +135,23 @@ def test_cli_faults_human_output_and_plan_replay(tmp_path, capsys):
     assert "recovery [ok]" in out
 
 
-def test_bench_fault_soak_smoke(tmp_path, capsys):
-    import importlib.util
-    import os
-
-    bench_path = os.path.join(
-        os.path.dirname(__file__), "..", "..", "benchmarks",
-        "bench_fault_soak.py",
-    )
-    spec = importlib.util.spec_from_file_location("bench_fault_soak", bench_path)
-    bench_fault_soak = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_fault_soak)
-
-    out_path = tmp_path / "BENCH_fault_soak.json"
-    code = bench_fault_soak.main(["--smoke", "--out", str(out_path)])
-    assert code == 0
-    report = json.loads(out_path.read_text())
-    assert report["benchmark"] == "fault_soak"
-    assert report["all_ok"] is True
-    assert report["campaigns_diverged"] == 0
-    assert report["recoveries_failed"] == 0
-    assert len(report["rows"]) == 2
-    assert report["serve_verdict_divergences"] == 0
-    assert report["restarts_bounded"] is True
-    assert report["producer_restarts_total"] >= len(report["rows"])
-    assert report["store_giveups_total"] == 0
-    assert report["store_retries_total"] > 0
+def test_bench_fault_soak_smoke():
+    """The fault soak: a fresh plan from each seed, every gate green.
+    Seeds 9 and 13 make the shortest brownout sessions (17 store ops): the
+    round bites there only if the planned blackout starts inside them.
+    Seed 2's blackout and flaky failures need the round's eight retries."""
+    for seed in (0, 1, 2, 9, 13):
+        report = run_fault_campaign(seed=seed, jobs=2, num_runs=12, timeout=2.0)
+        assert report.ok, seed
+        assert report.signatures_match
+        assert all(entry["ok"] for entry in report.recoveries)
+        for entry in (report.producer_kill_checks + report.brownout_checks
+                      + report.catchup_checks):
+            assert entry["signature_identical"] and entry["verdict_identical"]
+        for entry in report.producer_kill_checks:
+            assert 1 <= entry["restarts"] <= 2 and not entry["gave_up"]
+        assert sum(e["giveups"] for e in report.brownout_checks) == 0
+        assert sum(e["retries_absorbed"] for e in report.brownout_checks) > 0
 
 
 def test_campaign_producer_kill_round_restart_identity(report):

@@ -6,12 +6,14 @@ import pytest
 
 from repro.core.actions import CallAction, ReturnAction
 from repro.core.log import Log
+from repro.harness import run_program
 from repro.linz import (
     HistoryError,
     LinzChecker,
     SearchBudgetExceeded,
     check_linearizability,
     extract_history,
+    linz_config,
     strict_lookup_divergence_log,
 )
 from repro.multiset import MultisetSpec
@@ -118,34 +120,47 @@ def test_incomplete_observer_is_dropped():
 
 
 def test_memo_agrees_with_unmemoized_search():
-    log = strict_lookup_divergence_log()
-    with_memo = check_linearizability(log, MultisetSpec, memo=True)
-    without = check_linearizability(log, MultisetSpec, memo=False)
-    assert with_memo.ok == without.ok is False
-    assert with_memo.stats["memo"] is True
-    assert without.stats["memo"] is False
-    assert without.stats["memo_hits"] == 0
+    histories = [(strict_lookup_divergence_log(), MultisetSpec, False)]
+    for program, calls in [("java-vector", 4), ("java-vector", 12),
+                           ("stringbuffer", 12)]:
+        run = run_program(program, num_threads=3, calls_per_thread=calls,
+                          seed=1)
+        histories.append((run.log, linz_config(program).linz_spec_factory,
+                          True))
+    for log, spec_factory, linearizable in histories:
+        with_memo = check_linearizability(log, spec_factory, memo=True)
+        without = check_linearizability(log, spec_factory, memo=False)
+        assert with_memo.ok == without.ok is linearizable
+        assert with_memo.stats["memo"] is True
+        assert without.stats["memo"] is False
+        assert without.stats["memo_hits"] == 0
 
 
-def _overlapping_inserts(width):
-    """``width`` fully-overlapping commuting inserts ending in an
-    unsatisfiable lookup: the search must exhaust every order."""
-    actions = [_call(j, j, "insert", j) for j in range(width)]
-    actions += [_ret(j, j, "insert", SUCCESS) for j in range(width)]
+def _overlapping_inserts(width, rounds=1):
+    """``rounds`` sequential rounds of ``width`` fully-overlapping commuting
+    inserts ending in an unsatisfiable lookup: the search must exhaust
+    every order."""
+    actions = []
+    for first in range(0, width * rounds, width):
+        ops = range(first, first + width)
+        actions += [_call(op % width, op, "insert", op) for op in ops]
+        actions += [_ret(op % width, op, "insert", SUCCESS) for op in ops]
+    last = width * rounds
     actions += [
-        _call(width, width, "lookup", 999),
-        _ret(width, width, "lookup", True),
+        _call(width, last, "lookup", 999),
+        _ret(width, last, "lookup", True),
     ]
     return _log(actions)
 
 
 def test_memo_prunes_commuting_reconvergence():
-    log = _overlapping_inserts(5)
-    with_memo = check_linearizability(log, MultisetSpec, memo=True)
-    without = check_linearizability(log, MultisetSpec, memo=False)
-    assert not with_memo.ok and not without.ok
-    assert with_memo.stats["memo_hits"] > 0
-    assert without.stats["nodes"] >= 5 * with_memo.stats["nodes"]
+    for rounds in (1, 2):
+        log = _overlapping_inserts(5, rounds)
+        with_memo = check_linearizability(log, MultisetSpec, memo=True)
+        without = check_linearizability(log, MultisetSpec, memo=False)
+        assert not with_memo.ok and not without.ok
+        assert with_memo.stats["memo_hits"] > 0
+        assert without.stats["nodes"] >= 5 * with_memo.stats["nodes"]
 
 
 def test_search_budget_surfaces_as_error_not_verdict():

@@ -6,6 +6,7 @@ checked by the daemon -- with or without backpressure engaged -- yields the
 single-process, single-log run of the same program and seed.
 """
 
+import os
 import threading
 
 import pytest
@@ -247,6 +248,41 @@ def test_serve_race_detection_matches_direct(tmp_path):
     assert (
         len(session.race_outcome.races) == len(direct.race_outcome.races)
     )
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="samples resident memory from /proc")
+def test_campaign_memory_stays_bounded(tmp_path):
+    """The daemon's mean RSS over the late third of a ~5.8k-record campaign
+    is at most 1.5x its mean over the early third, and stays below 1 GiB."""
+    samples = []
+    done = threading.Event()
+    page = os.sysconf("SC_PAGE_SIZE")
+
+    def sample():
+        while not done.is_set():
+            with open("/proc/self/statm") as handle:
+                samples.append(int(handle.read().split()[1]) * page)
+            done.wait(0.02)
+
+    sampler = threading.Thread(target=sample, daemon=True)
+    sampler.start()
+    try:
+        report = serve_campaign(
+            PROG, LocalDirectoryStore(str(tmp_path)), sessions=4,
+            num_shards=2, jobs=2,
+            run_kwargs=dict(num_threads=3, calls_per_thread=150),
+        )
+    finally:
+        done.set()
+        sampler.join(timeout=5.0)
+    assert report.ok and not sampler.is_alive()
+    assert len(samples) >= 4
+    third = len(samples) // 3
+    early = sum(samples[:third]) / third
+    late = sum(samples[-third:]) / third
+    assert late <= 1.5 * early
+    assert max(samples) < 2**30
 
 
 def test_tampered_shard_fails_the_session():

@@ -12,7 +12,9 @@ Pins the triage the handlers implement:
   escape every handler -- a Ctrl-C cannot be absorbed into a "degraded"
   session;
 * a failing health write never kills a session, but is counted and carries
-  its last error on every later snapshot (no silent swallow).
+  its last error on every later snapshot (no silent swallow);
+* a store that gives up during ingest (``StoreUnavailable`` from a
+  ``RetryingStore``) is the session's error, never a dead ingest thread.
 """
 
 import threading
@@ -20,9 +22,11 @@ import threading
 import pytest
 
 from repro.core.log import log_signature
+from repro.faults import STORE_OUTAGE, Fault, FaultPlan, FlakyStore
 from repro.serve import (
     MergeError,
     ObjectStoreStub,
+    RetryingStore,
     ServeSession,
     health_name,
     produce_session,
@@ -239,3 +243,31 @@ def test_health_write_failure_is_counted_not_swallowed():
     assert result.health["health_errors"] >= 1
     assert "health volume full" in result.health["last_health_error"]
     assert store.get_json(health_name("s")) is None
+
+
+@pytest.mark.parametrize("task, session_kw", [
+    pytest.param(3, {}, id="reading"),
+    # a slow checker keeps the producer paused when the store gives up, so
+    # clearing the pause flag fails too
+    pytest.param(10, {**_SMALL_QUEUE, "checker_delay": 0.01}, id="paused"),
+])
+def test_store_give_up_during_ingest_is_the_session_error(
+    task, session_kw, monkeypatch
+):
+    escaped = []
+    monkeypatch.setattr(threading, "excepthook", escaped.append)
+    store = ObjectStoreStub()
+    produce_session(
+        store, "s", PROG, seed=3, num_shards=2, run_kwargs=WORKLOAD,
+        throttle=False,
+    )
+    blackout = FaultPlan(faults=(Fault(STORE_OUTAGE, task=task, seconds=0.5),))
+    checker_factory, _ = session_checkers(PROG)
+    session = ServeSession(
+        RetryingStore(FlakyStore(store, blackout), retries=2), "s", 2,
+        checker_factory=checker_factory, **session_kw,
+    )
+    result = _run_bounded(session)
+    assert escaped == []
+    assert not result.ok and not result.complete
+    assert "StoreUnavailable" in result.error

@@ -863,7 +863,11 @@ def test_bad_log_input_is_a_typed_problem_on_every_command(kind, tmp_path, capsy
         commands.append(["verify-chain", path])
     else:  # a damaged file is a verify-chain report, not a problem
         assert main(["verify-chain", path]) == 1
-        assert "failed verification" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "failed verification" in captured.err
+        assert "[TAMPERED]" in captured.out
+        if kind in ("garbage", "bare-pickle"):
+            assert "unrecognized log prologue" in captured.out
     for argv in commands:
         assert main([*argv, "--json"]) == 2, argv
         payload = json.loads(capsys.readouterr().out)
@@ -877,6 +881,35 @@ def test_bad_log_input_is_a_typed_problem_on_every_command(kind, tmp_path, capsy
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1, argv
         assert "Traceback" not in captured.err
+
+
+def test_log_without_a_history_is_a_typed_problem_for_linz(tmp_path, capsys):
+    """A chain-valid log whose one record is a return with no call has no
+    linz history: ``linz`` and ``check --mode linz|both`` exit 2 with a
+    ``HistoryError`` problem, while the refinement modes and ``races``
+    keep their verdicts."""
+    import json
+
+    from repro.core import Log, ReturnAction
+    from repro.core.log import save_log
+
+    path = str(tmp_path / "return-only.vlog")
+    save_log(Log([ReturnAction(0, 0, "insert", 0)]), path)
+    program = ["--program", "multiset-vector"]
+    for argv in (["linz", path, *program],
+                 ["check", path, *program, "--mode", "linz"],
+                 ["check", path, *program, "--mode", "both"]):
+        assert main([*argv, "--json"]) == 2, argv
+        assert json.loads(capsys.readouterr().out)["error_type"] == "HistoryError"
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, argv
+        assert "return without a call" in captured.err
+    for mode in ("io", "view"):
+        assert main(["check", path, *program, "--mode", mode, "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["ok"] is False
+    assert main(["races", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
 def test_verify_chain_malformed_manifest_is_a_typed_problem(tmp_path, capsys):
