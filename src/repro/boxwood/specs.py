@@ -28,6 +28,9 @@ class StoreSpec(Specification):
     def __init__(self):
         self.store: Dict[str, Tuple[int, ...]] = {}
 
+    def clone(self) -> "StoreSpec":
+        return self._clone_with(store=dict(self.store))
+
     @mutator
     def write(self, handle, buffer, *, result):
         if result is not True:
@@ -79,6 +82,9 @@ class BLinkTreeSpec(Specification):
 
     def __init__(self):
         self.pairs: Dict[object, Tuple[object, int]] = {}
+
+    def clone(self) -> "BLinkTreeSpec":
+        return self._clone_with(pairs=dict(self.pairs))
 
     @mutator
     def insert(self, key, data, *, result):

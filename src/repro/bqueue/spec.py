@@ -19,6 +19,9 @@ class QueueSpec(Specification):
         self.capacity = capacity
         self.items: deque = deque()
 
+    def clone(self) -> "QueueSpec":
+        return self._clone_with(items=deque(self.items))
+
     @mutator
     def enqueue(self, item, *, result):
         if result is not None:

@@ -242,18 +242,23 @@ def read_prologue(head: bytes, shard_id: Optional[int] = None
     )
 
 
+#: Causes :func:`_decode` gives a frame whose bytes are as written (its CRC,
+#: and in a chained file its digest, verify) but whose payload is not a log
+#: action.
+_BAD_RECORD_CAUSES = ("undecodable record payload", "decoded object is not a log action")
+
+
 def _decode(payload: bytes, offset: int, index: int) -> Action:
     """Unpickle one frame's payload; anything but a log action is damage."""
     try:
         action = pickle.loads(payload)
     except Exception as exc:
         raise LogFormatError(
-            f"undecodable record payload: {exc}", offset, index
+            f"{_BAD_RECORD_CAUSES[0]}: {exc}", offset, index
         ) from exc
     if not isinstance(action, Action):
         raise LogFormatError(
-            f"decoded object is not a log action ({type(action).__name__})",
-            offset, index,
+            f"{_BAD_RECORD_CAUSES[1]} ({type(action).__name__})", offset, index,
         )
     return action
 
@@ -766,6 +771,12 @@ class ChainReport:
     @property
     def tampered(self) -> bool:
         return self.error_offset is not None or self.head_match is False
+
+    @property
+    def bad_record(self) -> bool:
+        """The first damage is a frame that verified but whose payload is
+        not a log action: the file is as written, a record in it is not."""
+        return self.cause is not None and self.cause.startswith(_BAD_RECORD_CAUSES)
 
     @property
     def ok(self) -> bool:

@@ -36,6 +36,7 @@ to completion in isolation -- serves as the specification.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from typing import Any, Callable, Dict, FrozenSet, Iterable, Optional
 
@@ -245,17 +246,47 @@ class Specification:
         """
         raise SpecError(f"{type(self).__name__} does not define a view")
 
+    def clone(self) -> "Specification":
+        """An independent copy of this spec, in the same state.
+
+        The linearizability search clones the node's spec once per branch
+        and runs one mutator on the clone, so the contract is: after any
+        mutator runs on the clone, the original's :meth:`state_fingerprint`
+        and :meth:`describe` are unchanged, and the two share no mutable
+        public attribute.  The default deep-copies, which holds for every
+        spec.  A spec whose state is a few containers of immutable values
+        overrides it with :meth:`_clone_with`, copying only those
+        containers; a subclass that adds mutable state must then override
+        ``clone`` again.
+        """
+        return copy.deepcopy(self)
+
+    def _clone_with(self, **state: Any) -> "Specification":
+        """A :meth:`clone` that shares every attribute with this spec except
+        ``state`` (the fresh containers the caller passes by attribute name)
+        and the pending view delta, which is copied."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__, **state)
+        dirty = self.__dict__.get("_dirty_view_keys")
+        if dirty is not None:
+            twin.__dict__["_dirty_view_keys"] = set(dirty)
+        return twin
+
     def state_fingerprint(self) -> Optional[Any]:
         """Hashable canonical digest of the current spec state.
 
         Two instances in the same abstract state must produce equal
-        fingerprints; distinct states should (but need not) differ -- a
-        collision only costs memoization precision, never soundness, because
-        the linearizability search uses fingerprints to identify *revisited*
-        states, not to decide verdicts.  The default canonicalizes every
-        public attribute; bookkeeping attributes (``_dirty_view_keys`` etc.)
-        are excluded.  Returns ``None`` when the state does not canonicalize,
-        which disables memoization for searches over this spec.
+        fingerprints, and two instances with equal fingerprints must have
+        the same futures: every sequence of mutator and observer calls
+        accepted (and answered) by one is accepted and answered alike by
+        the other.  The linearizability search prunes a node whose
+        ``(cursor, linearized set, fingerprint)`` once failed, so a
+        collision between states with different futures can turn a
+        linearizable history into a reported violation.  The default
+        canonicalizes every public attribute (configuration such as a
+        capacity included); bookkeeping attributes (``_dirty_view_keys``
+        etc.) are excluded.  Returns ``None`` when the state does not
+        canonicalize, which disables memoization for that state.
         """
         try:
             return _canon({

@@ -23,6 +23,9 @@ class VectorSpec(Specification):
         self.capacity = capacity
         self.items: list = []
 
+    def clone(self) -> "VectorSpec":
+        return self._clone_with(items=list(self.items))
+
     @mutator
     def add_element(self, obj, *, result):
         if result is True:
@@ -86,6 +89,9 @@ class StringBufferSpec(Specification):
     def __init__(self, names: Tuple[str, ...] = ("dst", "src"), capacity: int = 64):
         self.capacity = capacity
         self.strings: Dict[str, str] = {name: "" for name in names}
+
+    def clone(self) -> "StringBufferSpec":
+        return self._clone_with(strings=dict(self.strings))
 
     @mutator
     def append_str(self, buf, text, *, result):

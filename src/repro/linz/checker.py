@@ -34,7 +34,10 @@ linearized-but-unreturned set, spec-state fingerprint)`` pairs
 (:meth:`~repro.core.spec.Specification.state_fingerprint`), so overlapping
 search prefixes that reconverge -- e.g. commuting mutators -- are explored
 once.  The pending set needs no key of its own: it is a function of the
-cursor position and the linearized set.
+cursor position and the linearized set.  A node's key is built only when
+the node fails, or once some node has failed, and the deepest blocked node
+(the *frontier*) is described only when the whole search fails, so a node
+of a search that never backtracks costs the same however long the history.
 
 Incomplete operations (a call whose return the log lost) are *optional*:
 an incomplete observer can never constrain anything and is dropped; an
@@ -47,8 +50,8 @@ method elsewhere in the history as the fallback.
 
 from __future__ import annotations
 
-import copy
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -110,12 +113,7 @@ class LinzOutcome:
             "detection_method_count": self.detection_method_count,
             "violations": [violation.to_dict() for violation in self.violations],
             "linearization": self.linearization,
-            # The frontier entry holds a live Operation for the violation
-            # report; everything else is plain-data search accounting.
-            "search": {
-                key: value for key, value in self.stats.items()
-                if key != "frontier"
-            },
+            "search": dict(self.stats),
         }
 
 
@@ -196,13 +194,15 @@ class LinzChecker:
                 "linz.search", cat="linz", operations=len(history),
                 memo=self.memo,
             ):
-                found, order = self._search(events, spec, history, outcome)
+                order, frontier = self._search(events, spec, history, outcome)
         else:
-            found, order = self._search(events, spec, history, outcome)
-        if found:
+            order, frontier = self._search(events, spec, history, outcome)
+        if order is not None:
             outcome.linearization = order
         else:
-            outcome.violations.append(self._violation(outcome))
+            outcome.violations.append(
+                self._violation(outcome, history, frontier)
+            )
         if obs.enabled:
             stats = outcome.stats
             obs.count("linz.checks")
@@ -213,8 +213,10 @@ class LinzChecker:
             obs.observe("linz.pending_width", stats["max_pending"])
         return outcome
 
-    def _violation(self, outcome: LinzOutcome) -> Violation:
-        frontier = outcome.stats.get("frontier")
+    def _violation(self, outcome: LinzOutcome, history: History,
+                   frontier) -> Violation:
+        """The violation for a failed search; ``frontier`` is the deepest
+        blocked node, ``(blocked return's operation, pending set, spec)``."""
         if frontier is None:
             # Exhausted without ever blocking: only possible when the very
             # first branch point has no viable operation.
@@ -222,8 +224,9 @@ class LinzChecker:
                 kind=ViolationKind.LINZ, seq=0,
                 message="no valid linearization of the history exists",
             )
-        op: Operation = frontier["op"]
-        outcome.detection_method_count = frontier["methods"]
+        op, pending, spec = frontier
+        returns = sorted(done.return_seq for done in history.completed)
+        outcome.detection_method_count = bisect_right(returns, op.return_seq)
         return Violation(
             kind=ViolationKind.LINZ,
             seq=op.return_seq if op.return_seq is not None else op.call_seq,
@@ -237,26 +240,39 @@ class LinzChecker:
                 "method": op.method,
                 "args": op.args,
                 "result": op.result,
-                "pending": frontier["pending"],
-                "spec_state": frontier["spec_state"],
+                "pending": sorted(
+                    history.operations[oid].describe() for oid in pending
+                ),
+                "spec_state": spec.describe(),
             },
         )
 
     def _search(self, events, spec0, history: History, outcome: LinzOutcome):
+        """Depth-first search for a witness order.
+
+        Returns ``(order, None)`` when one exists, else ``(None, frontier)``
+        with the deepest blocked node for :meth:`_violation`.  A node's spec
+        never changes once the node is entered -- mutators run only on a
+        fresh :meth:`~repro.core.spec.Specification.clone`, observers are
+        state-pure -- so the frontier keeps a reference to it, and a node's
+        memo key can wait until some node has failed.
+        """
         n = len(events)
         ops = history.operations
         kinds = {
             method: spec0.method_kind(method)
             for method in {op.method for op in ops.values()}
         }
+        memo = self.memo
         memo_failed = set()
         stats = {
             "nodes": 0, "memo_hits": 0, "prunes": 0, "spec_clones": 0,
-            "max_pending": 0, "max_depth": 0, "memo": self.memo,
+            "max_pending": 0, "max_depth": 0, "memo": memo,
             "memo_entries": 0,
         }
         outcome.stats = stats
         frontier_i = -1
+        frontier = None
         order: List[int] = []
         obs = self.obs
         # Depth bounds: one frame per linearized operation.
@@ -264,26 +280,13 @@ class LinzChecker:
         if sys.getrecursionlimit() < limit:
             sys.setrecursionlimit(limit)
 
-        def note_frontier(i: int, pending: frozenset, spec) -> None:
-            nonlocal frontier_i
-            if i > frontier_i:
-                frontier_i = i
-                _, blocked = events[i]
-                methods = sum(
-                    1 for op in ops.values()
-                    if op.complete and op.return_seq <= blocked.return_seq
-                )
-                stats["frontier"] = {
-                    "op": blocked,
-                    "methods": methods,
-                    "pending": sorted(
-                        ops[oid].describe() for oid in pending
-                    ),
-                    "spec_state": spec.describe(),
-                }
+        def memo_key(i: int, linearized: frozenset, spec):
+            fingerprint = spec.state_fingerprint()
+            return None if fingerprint is None else (i, linearized, fingerprint)
 
         def explore(i: int, pending: frozenset, linearized: frozenset,
-                    spec, fingerprint) -> bool:
+                    spec) -> bool:
+            nonlocal frontier_i, frontier
             mark = len(order)
             # Deterministic advance + eager observer linearization, to a
             # fixpoint: neither consumes search budget nor clones the spec.
@@ -316,24 +319,24 @@ class LinzChecker:
                 stats["max_pending"] = len(pending)
             if len(order) > stats["max_depth"]:
                 stats["max_depth"] = len(order)
+            # A lookup in an empty failed set always misses: until some node
+            # fails, no node needs its key.
             key = None
-            if self.memo:
-                fp = fingerprint if fingerprint is not _STALE else (
-                    spec.state_fingerprint()
-                )
-                if fp is not None:
-                    key = (i, linearized, fp)
-                    if key in memo_failed:
-                        stats["memo_hits"] += 1
-                        del order[mark:]
-                        return False
+            if memo_failed:
+                key = memo_key(i, linearized, spec)
+                if key is not None and key in memo_failed:
+                    stats["memo_hits"] += 1
+                    del order[mark:]
+                    return False
             stats["nodes"] += 1
             if stats["nodes"] > self.max_nodes:
                 raise SearchBudgetExceeded(stats["nodes"], self.max_nodes)
-            note_frontier(i, pending, spec)
+            _, blocked = events[i]
+            if i > frontier_i:
+                frontier_i = i
+                frontier = (blocked, pending, spec)
             # Branch over pending mutators; the blocked return's own
             # operation first (it must linearize before the cursor moves).
-            _, blocked = events[i]
             candidates = sorted(
                 (oid for oid in pending if kinds[ops[oid].method] != OBSERVER),
                 key=lambda oid: (
@@ -349,7 +352,7 @@ class LinzChecker:
                     else self._candidates(spec, op, history)
                 )
                 for result in results:
-                    clone = copy.deepcopy(spec)
+                    clone = spec.clone()
                     stats["spec_clones"] += 1
                     try:
                         clone.run_mutator(op.method, op.args, result)
@@ -357,27 +360,25 @@ class LinzChecker:
                         stats["prunes"] += 1
                         continue
                     order.append(oid)
-                    if explore(i, pending - {oid}, linearized | {oid},
-                               clone, _STALE):
+                    if explore(i, pending - {oid}, linearized | {oid}, clone):
                         return True
                     # The failed explore() restored order to its own mark;
                     # drop the mutator we appended for this branch.
                     order.pop()
-            if key is not None:
-                memo_failed.add(key)
-                stats["memo_entries"] = len(memo_failed)
+            if memo:
+                if key is None:
+                    key = memo_key(i, linearized, spec)
+                if key is not None:
+                    memo_failed.add(key)
+                    stats["memo_entries"] = len(memo_failed)
             del order[mark:]
             return False
 
-        found = explore(0, frozenset(), frozenset(), spec0,
-                        spec0.state_fingerprint() if self.memo else None)
-        if obs.enabled and not found:
+        if explore(0, frozenset(), frozenset(), spec0):
+            return order, None
+        if obs.enabled:
             obs.count("linz.exhausted_searches")
-        return found, (list(order) if found else None)
-
-
-#: Sentinel: "recompute the fingerprint from the spec clone".
-_STALE = object()
+        return None, frontier
 
 
 def check_linearizability(

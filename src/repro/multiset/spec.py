@@ -61,6 +61,9 @@ class MultisetSpec(Specification):
         self.strict_delete = strict_delete
         self.permissive_lookup = permissive_lookup
 
+    def clone(self) -> "MultisetSpec":
+        return self._clone_with(m=Counter(self.m))
+
     # -- mutators ----------------------------------------------------------
 
     @mutator

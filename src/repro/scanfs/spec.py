@@ -17,6 +17,9 @@ class FsSpec(Specification):
         self.max_content = max_content
         self.files: Dict[str, Tuple[int, ...]] = {}
 
+    def clone(self) -> "FsSpec":
+        return self._clone_with(files=dict(self.files))
+
     @mutator
     def create(self, name, *, result):
         exists = name in self.files

@@ -722,13 +722,16 @@ class ServeSession:
             result.outcome = final.refinement
             result.race_outcome = final.races
         result.error = self._ingest_error or self._checker_error
+        if self._manifest is not None:
+            try:
+                result.chain = self._audit_chains(self._manifest)
+            except StoreUnavailable as exc:  # a RetryingStore spent its budget
+                result.error = result.error or f"store: {exc!r}"
         result.complete = (
             self._manifest is not None
             and result.error is None
             and result.records == int(self._manifest["records"])
         )
-        if self._manifest is not None:
-            result.chain = self._audit_chains(self._manifest)
         # Write the terminal health document *before* snapshotting stats so
         # a failure of this very write is visible on the returned counters.
         state = "complete" if result.complete else "failed"

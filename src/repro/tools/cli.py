@@ -1368,7 +1368,12 @@ def _cmd_verify_chain(args) -> int:
     for report in reports:
         # Damage first: a file that is not a log at all reads as unchained.
         if report.error_offset is not None:
-            where = "chain breaks" if report.chained else "unreadable"
+            if report.bad_record:
+                where = "bad record"
+            elif report.chained:
+                where = "chain breaks"
+            else:
+                where = "unreadable"
             print(
                 f"[TAMPERED] {report.path}: {where} at byte "
                 f"{report.error_offset} (record {report.error_record}): "

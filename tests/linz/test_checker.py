@@ -1,6 +1,7 @@
 """Unit tests for the annotation-free linearizability checker."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -188,3 +189,46 @@ def test_obs_counters_and_span_recorded():
     assert obs.counters["linz.exhausted_searches"] == 1
     assert "linz.search_depth" in obs.histograms
     assert "linz.pending_width" in obs.histograms
+
+
+def _counting_multiset(calls):
+    """A MultisetSpec factory whose instances count clone, describe and
+    state_fingerprint calls into ``calls``."""
+
+    class CountingSpec(MultisetSpec):
+        def clone(self):
+            calls["clone"] += 1
+            return super().clone()
+
+        def describe(self):
+            calls["describe"] += 1
+            return super().describe()
+
+        def state_fingerprint(self):
+            calls["state_fingerprint"] += 1
+            return super().state_fingerprint()
+
+    return CountingSpec
+
+
+def test_search_without_a_failed_node_never_describes_or_fingerprints():
+    calls = Counter()
+    run = run_program("multiset-vector", num_threads=4, calls_per_thread=12,
+                      seed=3)
+    outcome = check_linearizability(run.log, _counting_multiset(calls))
+    assert outcome.ok
+    assert outcome.stats["nodes"] > 20 and outcome.stats["memo_entries"] == 0
+    assert calls["describe"] == 0
+    assert calls["state_fingerprint"] == 0
+    assert calls["clone"] == outcome.stats["spec_clones"]
+
+
+def test_failed_search_describes_its_frontier_once():
+    calls = Counter()
+    outcome = check_linearizability(
+        _overlapping_inserts(4, rounds=2), _counting_multiset(calls)
+    )
+    assert not outcome.ok
+    assert calls["describe"] == 1
+    assert calls["clone"] == outcome.stats["spec_clones"]
+    assert outcome.detection_method_count == 9

@@ -250,6 +250,7 @@ def test_health_write_failure_is_counted_not_swallowed():
     # a slow checker keeps the producer paused when the store gives up, so
     # clearing the pause flag fails too
     pytest.param(10, {**_SMALL_QUEUE, "checker_delay": 0.01}, id="paused"),
+    pytest.param(11, {}, id="auditing"),
 ])
 def test_store_give_up_during_ingest_is_the_session_error(
     task, session_kw, monkeypatch

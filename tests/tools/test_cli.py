@@ -776,6 +776,24 @@ def test_verify_chain_pinpoints_flipped_byte(tmp_path, capsys):
     assert "[ok]" in out  # the untouched shard still verifies
 
 
+def test_verify_chain_names_a_bad_record(tmp_path, capsys):
+    """Frames that pass CRC and chain checks but hold no log action are a
+    bad record, not a chain break; exit code and --json fields as before."""
+    import json
+
+    path = _bad_input("chained-non-actions", tmp_path)
+    assert main(["verify-chain", path]) == 1
+    out = capsys.readouterr().out
+    assert "[TAMPERED]" in out and "chain breaks" not in out
+    assert (f"{path}: bad record at byte 16 (record 0): decoded object is "
+            "not a log action (dict); 0 records salvageable") in out
+    assert main(["verify-chain", path, "--json"]) == 1
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    assert report["tampered"] and report["chained"] and not report["ok"]
+    assert (report["error_offset"], report["error_record"]) == (16, 0)
+    assert report["cause"] == "decoded object is not a log action (dict)"
+
+
 def test_verify_chain_unchained_is_policy_not_tampering(
     tmp_path, capsys, write_vyrdlog1
 ):
