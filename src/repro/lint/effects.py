@@ -54,8 +54,12 @@ runtime harness):
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+import weakref
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import (
+    Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple,
+)
 
 from .cfg import Node
 from .model import RULES, LintFinding
@@ -131,8 +135,10 @@ class AccessorSummary:
 
 
 class _AccessorTable:
-    def __init__(self, methods: Dict[str, ast.FunctionDef]):
+    def __init__(self, methods: Dict[str, ast.FunctionDef],
+                 generators: FrozenSet[str]):
         self._methods = methods
+        self._generators = generators
         self._memo: Dict[str, AccessorSummary] = {}
         self._in_progress: Set[str] = set()
 
@@ -140,7 +146,7 @@ class _AccessorTable:
         if name in self._memo:
             return self._memo[name]
         fn = self._methods.get(name)
-        if fn is None or name in self._in_progress or _is_generator(fn):
+        if fn is None or name in self._in_progress or name in self._generators:
             return AccessorSummary(TOP, frozenset(), False)
         self._in_progress.add(name)
         try:
@@ -469,11 +475,37 @@ _EMPTY_SUMMARY_FIELDS = dict(
 )
 
 
+@dataclass
+class _MethodFacts:
+    """What one generator method contributes whatever its callees'
+    summaries are.  Computed once per analysis, before the fixpoint: a
+    fixpoint round reruns only the lockset dataflow and the merges of the
+    delegations below."""
+
+    analysis: MethodAnalysis
+    reads: Set[Tuple[str, ...]] = field(default_factory=set)
+    writes: Set[Tuple[str, ...]] = field(default_factory=set)
+    hidden: Set[Tuple[str, ...]] = field(default_factory=set)
+    locks: Set[LockToken] = field(default_factory=set)
+    commit_kinds: Set[str] = field(default_factory=set)
+    reasons: List[Tuple[int, str]] = field(default_factory=list)
+    # the ordered lock events of every CFG node that has any
+    events: Dict[Node, Tuple[tuple, ...]] = field(default_factory=dict)
+    # (node, path, kind, line) of every traced cell access
+    cell_accesses: List[Tuple[Node, Tuple[str, ...], str, int]] = field(
+        default_factory=list)
+    # (node, callee, line) of every ``yield from self.<generator>(...)``
+    delegations: List[Tuple[Node, str, int]] = field(default_factory=list)
+
+
 class EffectTable:
     """Fixpoint effect summaries for every generator method of a class.
 
     Recursive helpers converge by iterating summarization until no
-    summary changes (all components are finite and grow monotonically)."""
+    summary changes (all components are finite and grow monotonically).
+    A round re-summarizes only the methods whose callees changed since
+    their last summary, in the same order, so the result is the one a
+    full round would give."""
 
     def __init__(self, methods: Dict[str, ast.FunctionDef], file: str,
                  line_offset: int, roles: Dict[str, str],
@@ -483,31 +515,39 @@ class EffectTable:
         self._line_offset = line_offset
         self._roles = roles
         self._confluent = confluent
-        self._accessors = _AccessorTable(methods)
+        self._generators = frozenset(
+            name for name, fn in methods.items() if _is_generator(fn)
+        )
+        self._accessors = _AccessorTable(methods, self._generators)
         self._commit_summaries = SummaryTable(methods, file, line_offset)
-        self._facts: Dict[str, MethodAnalysis] = {}
         self.summaries: Dict[str, EffectSummary] = {}
         self._compute()
 
     # -- fixpoint driver ----------------------------------------------------
 
     def _compute(self) -> None:
-        names = [
-            name for name, fn in self._methods.items() if _is_generator(fn)
-        ]
+        names = [name for name in self._methods if name in self._generators]
         for name in names:
             self.summaries[name] = EffectSummary(
                 method=name, role=self._roles.get(name, "helper"),
                 **_EMPTY_SUMMARY_FIELDS,
             )
+        facts = {name: self._method_facts(name) for name in names}
+        callers: Dict[str, Set[str]] = {name: set() for name in names}
+        for name in names:
+            for _, callee, _ in facts[name].delegations:
+                callers[callee].add(name)
+        stale = set(names)
         for _ in range(4 * len(names) + 8):
-            changed = False
             for name in names:
-                new = self._summarize(name)
+                if name not in stale:
+                    continue
+                stale.discard(name)
+                new = self._summarize(name, facts[name])
                 if new != self.summaries[name]:
                     self.summaries[name] = new
-                    changed = True
-            if not changed:
+                    stale |= callers[name]
+            if not stale:
                 return
         # non-convergence would be an analyzer bug; pessimise everything
         for name in names:  # pragma: no cover - defensive
@@ -522,33 +562,19 @@ class EffectTable:
                           "effect fixpoint did not converge"),),
             )
 
-    def _analysis(self, name: str) -> MethodAnalysis:
-        if name not in self._facts:
-            self._facts[name] = MethodAnalysis(
-                self._methods[name], self._roles.get(name, "helper"),
-                self._file, self._line_offset, self._commit_summaries,
-            )
-        return self._facts[name]
+    # -- facts that do not depend on other summaries -------------------------
 
-    # -- one summarization pass --------------------------------------------
-
-    def _summarize(self, name: str) -> EffectSummary:
-        analysis = self._analysis(name)
+    def _method_facts(self, name: str) -> _MethodFacts:
+        analysis = MethodAnalysis(
+            self._methods[name], self._roles.get(name, "helper"),
+            self._file, self._line_offset, self._commit_summaries,
+        )
+        facts = _MethodFacts(analysis)
         fn = analysis.fn
         env = self._path_env(analysis)
-        reads: Set[Tuple[str, ...]] = set()
-        writes: Set[Tuple[str, ...]] = set()
-        hidden: Set[Tuple[str, ...]] = set()
-        locks: Set[LockToken] = set()
-        commit_kinds: Set[str] = set()
-        accesses: Set[Access] = set()
-        reasons: List[Tuple[int, str]] = []
-        complete = True
 
         def incomplete(node: ast.AST, why: str) -> None:
-            nonlocal complete
-            complete = False
-            reasons.append((analysis.abs_line(node), why))
+            facts.reasons.append((analysis.abs_line(node), why))
 
         # hidden mutations: direct writes / container mutators / next()
         # in the generator body itself, plus any performed by plain
@@ -561,11 +587,11 @@ class EffectTable:
                     and isinstance(func.value, ast.Name)
                     and func.value.id == analysis.self_name
                     and func.attr in self._methods
-                    and not _is_generator(self._methods[func.attr])
+                    and func.attr not in self._generators
                 ):
                     acc = self._accessors.summary(func.attr)
                     if acc.hidden_writes:
-                        hidden |= set(acc.hidden_writes)
+                        facts.hidden |= acc.hidden_writes
                         if func.attr not in self._confluent:
                             incomplete(
                                 node,
@@ -582,14 +608,13 @@ class EffectTable:
             fn, {analysis.self_name: frozenset({()})}, self._accessors
         )
         if body_sites:
-            hidden |= {path for _, path in body_sites}
+            facts.hidden |= {path for _, path in body_sites}
             if name not in self._confluent:
                 by_line: Dict[int, Set[Tuple[str, ...]]] = {}
                 for lineno, path in body_sites:
                     by_line.setdefault(lineno, set()).add(path)
                 for lineno, paths in sorted(by_line.items()):
-                    complete = False
-                    reasons.append((
+                    facts.reasons.append((
                         lineno + self._line_offset,
                         "mutates "
                         + ", ".join(sorted(render_path(p) for p in paths))
@@ -598,15 +623,145 @@ class EffectTable:
                         "is schedule-confluent)",
                     ))
 
-        # lockset dataflow over the CFG
-        events = {
-            node: self._node_events(analysis, node, env)
+        # the lock events of every CFG node, then its traced accesses and
+        # delegations (in this order, which fixes the order in which plain
+        # helpers are first summarized)
+        calls_at = [
+            (node, _shallow_yielded_calls(analysis, node))
             for node in analysis.cfg.nodes
-        }
+        ]
+        for node, calls in calls_at:
+            events = self._node_events(analysis, calls, env)
+            if events:
+                facts.events[node] = tuple(events)
+        for node, calls in calls_at:
+            for call in calls:
+                func = call.func
+                if not isinstance(func, ast.Attribute):
+                    continue
+                attr = func.attr
+                if _call_is_ctx(call, analysis.ctx_name, attr):
+                    if attr == "commit":
+                        facts.commit_kinds.add("commit")
+                    elif attr == "replay":
+                        facts.commit_kinds.add("replay")
+                        facts.reads.add(("replay:",))
+                        facts.writes.add(("replay:",))
+                    elif attr == "end_commit_block":
+                        if _commit_kwarg(call) or (
+                            call.args
+                            and isinstance(call.args[0], ast.Constant)
+                            and bool(call.args[0].value)
+                        ):
+                            facts.commit_kinds.add("commit-block")
+                    continue
+                if isinstance(analysis.parents.get(call),
+                              ast.YieldFrom) and isinstance(
+                    func.value, ast.Name
+                ) and func.value.id == analysis.self_name:
+                    # yield from self.helper(...)
+                    if attr not in self._methods:
+                        incomplete(
+                            call,
+                            f"delegates to unknown method self.{attr}(...)",
+                        )
+                    elif attr not in self._generators:
+                        incomplete(
+                            call,
+                            f"delegates to self.{attr}(...) which is "
+                            "not a generator",
+                        )
+                    else:
+                        facts.delegations.append(
+                            (node, attr, analysis.abs_line(call))
+                        )
+                    continue
+                if isinstance(analysis.parents.get(call), ast.YieldFrom):
+                    # yield from self.other_object.method(...): a syscall
+                    # is never yielded-from, so even an attr named like
+                    # one (chunks.write) is cross-object delegation whose
+                    # effects live in another class, outside this summary
+                    incomplete(
+                        call,
+                        f"delegates to {ast.unparse(func)}(...) outside "
+                        "the class; cross-object effects are not "
+                        "summarized",
+                    )
+                    continue
+                if attr in _ACQ_ATTRS or attr in _REL_ATTRS:
+                    mode = _ACQ_ATTRS.get(attr) or _REL_ATTRS[attr]
+                    paths = _resolve(func.value, env, self._accessors)
+                    if paths is TOP or (
+                        paths is None
+                        and _root_name(func.value) in analysis.taint
+                    ):
+                        incomplete(
+                            call,
+                            f"cannot resolve the lock of "
+                            f"{ast.unparse(func)}(...)",
+                        )
+                        continue
+                    if isinstance(paths, frozenset):
+                        if attr in _ACQ_ATTRS:
+                            facts.locks |= {
+                                (render_path(p), mode) for p in paths
+                            }
+                        if _commit_kwarg(call):
+                            facts.commit_kinds.add("release-commit")
+                    continue
+                if attr in _READ_ATTRS or attr in _WRITE_ATTRS:
+                    paths = _resolve(func.value, env, self._accessors)
+                    if paths is TOP or (
+                        paths is None
+                        and _root_name(func.value) in analysis.taint
+                    ):
+                        incomplete(
+                            call,
+                            f"cannot resolve the target of "
+                            f"{ast.unparse(func)}(...)",
+                        )
+                        continue
+                    if not isinstance(paths, frozenset):
+                        continue
+                    kind = "read" if attr in _READ_ATTRS else "write"
+                    if kind == "read":
+                        facts.reads |= paths
+                    else:
+                        facts.writes |= paths
+                        if _commit_kwarg(call):
+                            facts.commit_kinds.add("write-commit")
+                    facts.cell_accesses.extend(
+                        (node, p, kind, analysis.abs_line(call))
+                        for p in paths
+                    )
+            for yf in _shallow_yield_froms(analysis, node):
+                if not isinstance(yf.value, ast.Call):
+                    incomplete(
+                        yf,
+                        "yield from over a non-call expression cannot be "
+                        "summarized",
+                    )
+        return facts
 
+    # -- one summarization pass --------------------------------------------
+
+    def _summarize(self, name: str, facts: _MethodFacts) -> EffectSummary:
+        cfg = facts.analysis.cfg
+        reads = set(facts.reads)
+        writes = set(facts.writes)
+        hidden = set(facts.hidden)
+        locks = set(facts.locks)
+        commit_kinds = set(facts.commit_kinds)
+        reasons = list(facts.reasons)
+        accesses: Set[Access] = set()
+
+        # lockset dataflow over the CFG
         def transfer(node: Node, state: frozenset) -> frozenset:
+            events = facts.events.get(node)
+            if not events:
+                return state
             out = set(state)
-            for event in events[node]:
+            for event in events:
                 new: Set[Tuple[HeldState, FrozenSet[LockToken]]]
                 new = set()
                 for held, outer in out:
@@ -649,11 +804,11 @@ class EffectTable:
             return frozenset(out)
 
         init = frozenset({(frozenset(), frozenset())})
-        flow = analysis.cfg.forward(init, transfer)
+        flow = cfg.forward(init, transfer)
 
         def must_held(node: Node) -> Tuple[FrozenSet[LockToken],
                                            FrozenSet[LockToken]]:
-            states = analysis.cfg.in_state(node, flow)
+            states = cfg.in_state(node, flow)
             if not states:
                 return frozenset(), frozenset()
             held_sets = [held for held, _ in states]
@@ -664,150 +819,40 @@ class EffectTable:
             outer = frozenset().union(*outer_sets)
             return must, outer
 
-        # traced accesses + delegated helper effects, per CFG node
-        for node in analysis.cfg.nodes:
-            if node.stmt is None or node.kind == "handler":
-                continue
+        for node, path, kind, line in facts.cell_accesses:
             must, outer_may = must_held(node)
-            for call in _shallow_yielded_calls(analysis, node):
-                func = call.func
-                if not isinstance(func, ast.Attribute):
-                    continue
-                attr = func.attr
-                if _call_is_ctx(call, analysis.ctx_name, attr):
-                    if attr == "commit":
-                        commit_kinds.add("commit")
-                    elif attr == "replay":
-                        commit_kinds.add("replay")
-                        reads.add(("replay:",))
-                        writes.add(("replay:",))
-                    elif attr == "end_commit_block":
-                        if _commit_kwarg(call) or (
-                            call.args
-                            and isinstance(call.args[0], ast.Constant)
-                            and bool(call.args[0].value)
-                        ):
-                            commit_kinds.add("commit-block")
-                    continue
-                if isinstance(self._parent_of(analysis, call),
-                              ast.YieldFrom) and isinstance(
-                    func.value, ast.Name
-                ) and func.value.id == analysis.self_name:
-                    # yield from self.helper(...)
-                    target = attr
-                    if target not in self._methods:
-                        incomplete(
-                            call,
-                            f"delegates to unknown method "
-                            f"self.{target}(...)",
-                        )
-                        continue
-                    summary = self.summaries.get(target)
-                    if summary is None:
-                        incomplete(
-                            call,
-                            f"delegates to self.{target}(...) which is "
-                            "not a generator",
-                        )
-                        continue
-                    reads |= set(summary.reads)
-                    writes |= set(summary.writes)
-                    hidden |= set(summary.hidden_writes)
-                    locks |= set(summary.locks)
-                    commit_kinds |= set(summary.commit_kinds)
-                    if not summary.complete:
-                        complete = False
-                        reasons.append((
-                            analysis.abs_line(call),
-                            f"delegates to self.{target}(...) whose "
-                            "footprint is incomplete",
-                        ))
-                    for access in summary.accesses:
-                        accesses.add(Access(
-                            path=access.path,
-                            kind=access.kind,
-                            line=access.line,
-                            method=access.method,
-                            locks=access.locks
-                            | (must - access.outer_released),
-                            outer_released=access.outer_released
-                            | outer_may,
-                        ))
-                    continue
-                if isinstance(self._parent_of(analysis, call),
-                              ast.YieldFrom):
-                    # yield from self.other_object.method(...): a syscall
-                    # is never yielded-from, so even an attr named like
-                    # one (chunks.write) is cross-object delegation whose
-                    # effects live in another class, outside this summary
-                    incomplete(
-                        call,
-                        f"delegates to {ast.unparse(func)}(...) outside "
-                        "the class; cross-object effects are not "
-                        "summarized",
-                    )
-                    continue
-                if attr in _ACQ_ATTRS or attr in _REL_ATTRS:
-                    mode = _ACQ_ATTRS.get(attr) or _REL_ATTRS[attr]
-                    paths = _resolve(func.value, env, self._accessors)
-                    if paths is TOP or (
-                        paths is None
-                        and _root_name(func.value) in analysis.taint
-                    ):
-                        incomplete(
-                            call,
-                            f"cannot resolve the lock of "
-                            f"{ast.unparse(func)}(...)",
-                        )
-                        continue
-                    if isinstance(paths, frozenset):
-                        if attr in _ACQ_ATTRS:
-                            locks |= {
-                                (render_path(p), mode) for p in paths
-                            }
-                        if _commit_kwarg(call):
-                            commit_kinds.add("release-commit")
-                    continue
-                if attr in _READ_ATTRS or attr in _WRITE_ATTRS:
-                    paths = _resolve(func.value, env, self._accessors)
-                    if paths is TOP or (
-                        paths is None
-                        and _root_name(func.value) in analysis.taint
-                    ):
-                        incomplete(
-                            call,
-                            f"cannot resolve the target of "
-                            f"{ast.unparse(func)}(...)",
-                        )
-                        continue
-                    if not isinstance(paths, frozenset):
-                        continue
-                    kind = "read" if attr in _READ_ATTRS else "write"
-                    if kind == "read":
-                        reads |= paths
-                    else:
-                        writes |= paths
-                        if _commit_kwarg(call):
-                            commit_kinds.add("write-commit")
-                    for p in paths:
-                        accesses.add(Access(
-                            path=p, kind=kind,
-                            line=analysis.abs_line(call),
-                            method=name, locks=must,
-                            outer_released=outer_may,
-                        ))
-                    continue
-            for yf in _shallow_yield_froms(analysis, node):
-                if not isinstance(yf.value, ast.Call):
-                    incomplete(
-                        yf,
-                        "yield from over a non-call expression cannot be "
-                        "summarized",
-                    )
+            accesses.add(Access(
+                path=path, kind=kind, line=line, method=name, locks=must,
+                outer_released=outer_may,
+            ))
+        # delegated helper effects
+        for node, target, line in facts.delegations:
+            must, outer_may = must_held(node)
+            summary = self.summaries[target]
+            reads |= summary.reads
+            writes |= summary.writes
+            hidden |= summary.hidden_writes
+            locks |= summary.locks
+            commit_kinds |= summary.commit_kinds
+            if not summary.complete:
+                reasons.append((
+                    line,
+                    f"delegates to self.{target}(...) whose footprint is "
+                    "incomplete",
+                ))
+            for access in summary.accesses:
+                accesses.add(Access(
+                    path=access.path,
+                    kind=access.kind,
+                    line=access.line,
+                    method=access.method,
+                    locks=access.locks | (must - access.outer_released),
+                    outer_released=access.outer_released | outer_may,
+                ))
 
         # locks still held at normal exits = the method's lock delta
         exit_deltas: Set[tuple] = set()
-        for node, kind in analysis.cfg.exits:
+        for node, kind in cfg.exits:
             if kind == "raise":
                 continue
             for held, outer in flow.get(node, frozenset()):
@@ -827,20 +872,22 @@ class EffectTable:
                 accesses, key=lambda a: (a.line, a.path, a.kind)
             )),
             exit_deltas=frozenset(exit_deltas),
-            complete=complete,
+            # every incompleteness is recorded with its reason
+            complete=not reasons,
             reasons=tuple(sorted(set(reasons))),
         )
 
     # -- supporting facts ---------------------------------------------------
 
-    def _parent_of(self, analysis: MethodAnalysis,
-                   node: ast.AST) -> Optional[ast.AST]:
-        return analysis.parents.get(node)
-
     def _path_env(self, analysis: MethodAnalysis) -> Dict[str, object]:
         """Fixpoint local-name -> abstract-paths binding (the path-grained
         refinement of the VY001 taint set)."""
         env: Dict[str, object] = {analysis.self_name: frozenset({()})}
+        binders = [
+            node for node in ast.walk(analysis.fn)
+            if isinstance(node, (ast.Assign, ast.For, ast.With,
+                                 ast.AsyncWith))
+        ]
         for _ in range(8):
             changed = False
 
@@ -861,7 +908,7 @@ class EffectTable:
                     env[name] = merged
                     changed = True
 
-            for node in ast.walk(analysis.fn):
+            for node in binders:
                 if isinstance(node, ast.Assign):
                     if isinstance(node.value, ast.Tuple):
                         for target in node.targets:
@@ -933,11 +980,11 @@ class EffectTable:
             return summary.returns
         return None
 
-    def _node_events(self, analysis: MethodAnalysis, node: Node,
+    def _node_events(self, analysis: MethodAnalysis, calls: List[ast.Call],
                      env: Dict[str, object]) -> List[tuple]:
-        """Ordered lock events of one CFG node."""
+        """Ordered lock events of one CFG node's yielded ``calls``."""
         events: List[tuple] = []
-        for call in _shallow_yielded_calls(analysis, node):
+        for call in calls:
             func = call.func
             if not isinstance(func, ast.Attribute):
                 continue
@@ -1006,7 +1053,10 @@ class PairVerdict:
 
 
 def classify_pair(a: EffectSummary, b: EffectSummary) -> PairVerdict:
-    """Conservative commutativity of two whole operations."""
+    """Conservative commutativity of two whole operations.
+
+    The reason names the first overlap in sorted order, so it does not
+    depend on the hash seed or on the order the footprints were built in."""
     if not a.complete:
         return PairVerdict(
             DEPENDENT, f"{a.method} has an incomplete footprint (VY008)"
@@ -1021,17 +1071,17 @@ def classify_pair(a: EffectSummary, b: EffectSummary) -> PairVerdict:
         (a.footprint_writes(), b.footprint_writes() | b.reads, "write"),
         (b.footprint_writes(), a.reads, "write"),
     ):
-        for pa in left:
-            for pb in right:
+        for pa in sorted(left):
+            for pb in sorted(right):
                 if paths_overlap(pa, pb):
-                    conflict = (
+                    conflict = conflict or (
                         f"{label} overlap on "
                         f"{render_path(max(pa, pb, key=len))}"
                     )
                     if not _overlap_is_starred(pa, pb):
                         starred_only = False
-    for la, ma in a.locks:
-        for lb, mb in b.locks:
+    for la, ma in sorted(a.locks):
+        for lb, mb in sorted(b.locks):
             if la == lb and not (ma == "r" and mb == "r"):
                 conflict = conflict or f"shared lock {la}"
                 if "[*]" not in la:
@@ -1154,18 +1204,22 @@ def _vy008_findings(effects: "ClassEffects") -> Iterator[LintFinding]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassEffects:
-    """The complete static effect analysis of one implementation class."""
+    """The complete static effect analysis of one implementation class.
+
+    Read-only, because :func:`analyze_class` hands one object to every
+    caller in the process: ``summaries`` and ``matrix`` are read-only
+    mappings and ``findings`` is a tuple."""
 
     class_name: str
     file: str
     operations: Tuple[str, ...]
-    summaries: Dict[str, EffectSummary]
-    matrix: Dict[Tuple[str, str], PairVerdict]
+    summaries: Mapping[str, EffectSummary]
+    matrix: Mapping[Tuple[str, str], PairVerdict]
     atomic_fields: FrozenSet[str] = frozenset()
     confluent_helpers: FrozenSet[str] = frozenset()
-    findings: List[LintFinding] = field(default_factory=list)
+    findings: Tuple[LintFinding, ...] = ()
 
     def verdict(self, a: str, b: str) -> str:
         return self.matrix[(min(a, b), max(a, b))].verdict
@@ -1253,8 +1307,8 @@ def analyze_class_source(
         class_name=classdef.name,
         file=filename,
         operations=ops,
-        summaries=table.summaries,
-        matrix=matrix,
+        summaries=MappingProxyType(table.summaries),
+        matrix=MappingProxyType(matrix),
         atomic_fields=atomic,
         confluent_helpers=confluent,
     )
@@ -1265,27 +1319,32 @@ def analyze_class_source(
     findings = sorted(
         set(findings), key=lambda f: (f.file, f.line, f.rule_id, f.message)
     )
-    effects.findings = findings
-    return effects
+    return replace(effects, findings=tuple(findings))
+
+
+#: class -> {(operations, observers): analysis}; see :func:`analyze_class`
+_ANALYSES: "weakref.WeakKeyDictionary[type, Dict[tuple, ClassEffects]]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def analyze_class(impl, *, observers: Optional[Set[str]] = None) -> ClassEffects:
-    """Analyze a live implementation class (or an instance of one)."""
+    """Analyze a live implementation class (or an instance of one).
+
+    One analysis per class per process: the result is memoized under the
+    class object (held weakly), its ``@operation`` set and its observers,
+    so a repeated call neither reads the source nor runs the fixpoint.
+    The key needs no digest of the source: a loaded class changes only by
+    re-import, which makes a new class object (and reading the source
+    costs as much as a small analysis)."""
     import inspect
 
     cls = impl if inspect.isclass(impl) else type(impl)
-    try:
-        lines, first_line = inspect.getsourcelines(cls)
-    except (OSError, TypeError) as exc:
-        raise ValueError(
-            f"cannot retrieve source for {cls.__name__}: {exc}"
-        ) from exc
-    filename = inspect.getsourcefile(cls) or "<unknown>"
-    ops = {
+    ops = frozenset(
         name
         for name in dir(cls)
         if getattr(getattr(cls, name, None), "_vyrd_operation", False)
-    }
+    )
     if observers is None:
         declared = getattr(cls, "VYRD_METHODS", None)
         if isinstance(declared, dict):
@@ -1293,14 +1352,24 @@ def analyze_class(impl, *, observers: Optional[Set[str]] = None) -> ClassEffects
                 name for name, role in declared.items()
                 if role == "observer"
             }
-    return analyze_class_source(
-        "".join(lines),
-        filename=filename,
-        first_line=first_line,
-        classname=cls.__name__,
-        operations=ops or None,
-        observers=observers,
-    )
+    key = (ops, None if observers is None else frozenset(observers))
+    memo = _ANALYSES.setdefault(cls, {})
+    if key not in memo:
+        try:
+            lines, first_line = inspect.getsourcelines(cls)
+        except (OSError, TypeError) as exc:
+            raise ValueError(
+                f"cannot retrieve source for {cls.__name__}: {exc}"
+            ) from exc
+        memo[key] = analyze_class_source(
+            "".join(lines),
+            filename=inspect.getsourcefile(cls) or "<unknown>",
+            first_line=first_line,
+            classname=cls.__name__,
+            operations=ops or None,
+            observers=observers,
+        )
+    return memo[key]
 
 
 def analyze_program(name: str) -> ClassEffects:
@@ -1322,11 +1391,11 @@ def effect_findings(
 ) -> List[LintFinding]:
     """The VY007/VY008 findings alone (what ``lint_class_source`` folds
     into the per-method rule findings)."""
-    return analyze_class_source(
+    return list(analyze_class_source(
         source,
         filename=filename,
         first_line=first_line,
         classname=classname,
         operations=operations,
         observers=observers,
-    ).findings
+    ).findings)

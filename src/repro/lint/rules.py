@@ -84,12 +84,20 @@ def _parent_map(fn: ast.AST) -> Dict[ast.AST, ast.AST]:
     return parents
 
 
+#: scopes whose yields belong to themselves, not to the enclosing function
+_NESTED_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                  ast.ClassDef)
+
+
 def _is_generator(fn: ast.FunctionDef) -> bool:
-    for node in ast.walk(fn):
-        if isinstance(node, ast.FunctionDef) and node is not fn:
-            continue  # nested defs have their own yields
+    """Does ``fn``'s own body yield?  The walk stops at nested scopes."""
+    stack: List[ast.AST] = list(fn.body)
+    while stack:
+        node = stack.pop()
         if isinstance(node, (ast.Yield, ast.YieldFrom)):
             return True
+        if not isinstance(node, _NESTED_SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
     return False
 
 

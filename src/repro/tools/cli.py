@@ -529,13 +529,13 @@ def _cmd_analyze(args) -> int:
         summary = effects.summaries[op]
         print(f"  {op} ({summary.role})"
               + ("  [INCOMPLETE]" if op in incomplete else ""))
+        rendered = summary.to_dict()
         footprint = [
-            ("reads", sorted(".".join(p) for p in summary.reads)),
-            ("writes", sorted(".".join(p) for p in summary.writes)),
-            ("hidden writes",
-             sorted(".".join(p) for p in summary.hidden_writes)),
-            ("locks", summary.to_dict()["locks"]),
-            ("commits", sorted(summary.commit_kinds)),
+            ("reads", rendered["reads"]),
+            ("writes", rendered["writes"]),
+            ("hidden writes", rendered["hidden_writes"]),
+            ("locks", rendered["locks"]),
+            ("commits", rendered["commit_kinds"]),
         ]
         for label, items in footprint:
             if items:
@@ -736,6 +736,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_explore(args) -> int:
+    if args.reduce is not None and args.mode != "exhaustive":
+        print("error: --reduce static requires --mode exhaustive",
+              file=sys.stderr)
+        return 2
     recorder = _obs_recorder(args)
     start = time.perf_counter()
     # The campaign's per-run metrics are deterministic counter snapshots

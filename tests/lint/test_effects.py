@@ -207,3 +207,46 @@ def test_static_reducer_built_from_registry_effects():
     import pickle
 
     assert pickle.loads(pickle.dumps(reducer)) == reducer
+
+
+BUMPER = """
+class Thing:
+    def _bump(self):
+        {nested}self.count += 1
+
+    @operation
+    def put_a(self, ctx, x):
+        self._bump()
+        yield self.a.write(x, commit=True)
+
+    @operation
+    def put_b(self, ctx, x):
+        self._bump()
+        yield self.b.write(x, commit=True)
+
+    VYRD_METHODS = {{"put_a": "mutator", "put_b": "mutator"}}
+"""
+
+
+def test_nested_generator_does_not_make_a_helper_a_generator():
+    """A plain helper that defines a generator is still a plain helper:
+    its hidden write must keep both callers incomplete, not vanish."""
+    for nested in ("", "def _unused():\n            yield 1\n        "):
+        effects = analyze(BUMPER.format(nested=nested))
+        assert effects.verdict("put_a", "put_b") == "dependent", nested
+        assert sorted(
+            f.method for f in effects.findings if f.rule_id == "VY008"
+        ) == ["put_a", "put_b"], nested
+
+
+def test_matrix_reason_names_the_first_overlap_in_sorted_order():
+    """The reason does not depend on set iteration order, which varies
+    with the hash seed: of twelve overlapping cells it names the first."""
+    cells = [f"c{i:02d}" for i in range(12)]
+    source = "class Thing:\n" + "".join(
+        f"    @operation\n    def {name}(self, ctx, x):\n"
+        + "".join(f"        yield self.{cell}.write(x)\n" for cell in cells)
+        for name in ("put", "set")
+    )
+    effects = analyze(source)
+    assert effects.matrix[("put", "set")].reason == "write overlap on c00"

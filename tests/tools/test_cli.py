@@ -355,11 +355,23 @@ def test_explore_reduce_static_human_output(capsys):
 
 
 def test_explore_reduce_requires_exhaustive_mode():
-    with pytest.raises(ValueError):
-        main([
-            "explore", "--program", "blinktree", "--mode", "swarm",
-            "--reduce", "static", "--seeds", "2",
-        ])
+    from repro.harness import explore_program
+
+    with pytest.raises(ValueError, match="exhaustive"):
+        explore_program("blinktree", mode="swarm", reduce="static",
+                        num_runs=2)
+
+
+@pytest.mark.parametrize("mode", [[], ["--mode", "swarm"]])
+def test_explore_reduce_without_exhaustive_mode_is_a_usage_error(capsys, mode):
+    code = main([
+        "explore", "--program", "blinktree", "--reduce", "static",
+        "--seeds", "2", *mode,
+    ])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines == ["error: --reduce static requires --mode exhaustive"]
 
 
 # -- the analyze subcommand --------------------------------------------------
@@ -391,6 +403,32 @@ def test_analyze_json_schema(capsys):
         assert cell["verdict"] in ("independent", "conditional", "dependent")
         assert cell["reason"]
     assert payload["incomplete_operations"] == []
+
+
+def test_analyze_text_paths_match_json(capsys):
+    """Every footprint path the text prints is one the JSON prints."""
+    import json
+
+    assert main(["analyze", "blinktree", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert main(["analyze", "blinktree"]) == 0
+    out = capsys.readouterr().out
+    labels = {"reads": "reads", "writes": "writes",
+              "hidden writes": "hidden_writes", "locks": "locks"}
+    printed = 0
+    op = None
+    for line in out.splitlines():
+        text = line.strip()
+        if line.startswith("  ") and not line.startswith("    "):
+            op = text.split(" ")[0]
+            continue
+        label, _, items = text.partition(": ")
+        if label not in labels:
+            continue
+        expected = payload["operations"][op][labels[label]]
+        assert items.split(", ") == expected, (op, label)
+        printed += len(expected)
+    assert printed and "[*]" in out and ".[*]" not in out
 
 
 def test_analyze_flags_incomplete_operations(capsys):
