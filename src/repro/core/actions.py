@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from operator import attrgetter
-from typing import Any, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 
 class Action:
@@ -52,6 +52,24 @@ class Action:
         # support (LogWriter serializes records with pickle)
         cls = type(self)
         return (cls, _field_values(cls)(self))
+
+
+def subclass_entry(table: Dict[type, Any], action: Any, default: Any) -> Any:
+    """The entry a subclass of a record type gets in a type-keyed table.
+
+    The checkers dispatch each record with one ``table.get(type(action))``;
+    a record whose exact type is not a key takes the entry of the first key
+    (in table order) it is an instance of, or ``default`` when none is --
+    the ``isinstance`` chain the table replaces, in its order.
+    """
+    for cls, entry in table.items():
+        if isinstance(action, cls):
+            return entry
+    return default
+
+
+def ignore_record(checker: Any, seq: int, action: Any) -> None:
+    """The table entry of a record type a checker has nothing to do for."""
 
 
 @lru_cache(maxsize=None)

@@ -32,14 +32,16 @@ Design constraints
 File layout::
 
     VYRDCKPT1\\n
-    {"meta": {...}, "sha256": "...", "version": 3}\\n
+    {"meta": {...}, "sha256": "...", "version": 4}\\n
     <pickle bytes>
 
 Version 2 added the per-unit invariant state to the refinement payload.
 Version 3 made the payload one entry per checker of the plan (refinement,
-races, linz history; :meth:`~repro.core.plan.PlanChecker.checkpoint`).  An
-older blob is rejected like any other unsupported version and the caller
-falls back to record zero.
+races, linz history; :meth:`~repro.core.plan.PlanChecker.checkpoint`).
+Version 4 changed the race detectors' per-location state, which the payload
+pickles whole: access sites are tuples, epochs are fields, and both
+detectors share one lock tracker.  An older blob is rejected like any other
+unsupported version and the caller falls back to record zero.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 MAGIC = b"VYRDCKPT1\n"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class CheckpointError(Exception):

@@ -71,6 +71,7 @@ from .actions import (
     ReturnAction,
     SpawnAction,
     WriteAction,
+    subclass_entry,
 )
 
 
@@ -248,18 +249,26 @@ def read_prologue(head: bytes, shard_id: Optional[int] = None
 _BAD_RECORD_CAUSES = ("undecodable record payload", "decoded object is not a log action")
 
 
+def _undecodable(exc: Exception, offset: int, index: int) -> "LogFormatError":
+    error = LogFormatError(f"{_BAD_RECORD_CAUSES[0]}: {exc}", offset, index)
+    error.__cause__ = exc
+    return error
+
+
+def _not_an_action(value, offset: int, index: int) -> "LogFormatError":
+    return LogFormatError(
+        f"{_BAD_RECORD_CAUSES[1]} ({type(value).__name__})", offset, index,
+    )
+
+
 def _decode(payload: bytes, offset: int, index: int) -> Action:
     """Unpickle one frame's payload; anything but a log action is damage."""
     try:
         action = pickle.loads(payload)
     except Exception as exc:
-        raise LogFormatError(
-            f"{_BAD_RECORD_CAUSES[0]}: {exc}", offset, index
-        ) from exc
+        raise _undecodable(exc, offset, index) from exc
     if not isinstance(action, Action):
-        raise LogFormatError(
-            f"{_BAD_RECORD_CAUSES[1]} ({type(action).__name__})", offset, index,
-        )
+        raise _not_an_action(action, offset, index)
     return action
 
 
@@ -274,6 +283,10 @@ class ChainDecoder:
     :class:`repro.serve.shard.ShardTail` drives it from ranged store reads
     while a producer is still appending.
 
+    Frames are parsed in place, at offsets into the bytes one ``feed``
+    call holds: the CRC, the digest and the unpickler each see a slice of
+    them, and only the trailing partial frame is kept for the next call.
+
     The first bad frame does not raise mid-parse -- frames decoded earlier
     in the same ``feed`` call are still returned (recovery must salvage
     them) and the typed :exc:`LogFormatError` parks on :attr:`error`, after
@@ -282,12 +295,14 @@ class ChainDecoder:
     file).
     """
 
-    __slots__ = ("_prev", "_buffer", "offset", "index", "consumed", "error")
+    __slots__ = ("_prev", "_pending", "offset", "index", "consumed", "error")
 
     def __init__(self, shard_id: int = 0, base_offset: int = 0,
                  prev_digest: Optional[bytes] = None):
         self._prev = prev_digest if prev_digest is not None else genesis_digest(shard_id)
-        self._buffer = bytearray()
+        #: Bytes from the first frame not yet decoded: a partial frame, or
+        #: after an error the bad frame and everything fed after it.
+        self._pending = b""
         #: Absolute byte offset of the first unconsumed frame.
         self.offset = base_offset
         #: Index of the next record to decode.
@@ -305,48 +320,72 @@ class ChainDecoder:
     @property
     def pending(self) -> int:
         """Bytes buffered that do not yet form a complete frame."""
-        return len(self._buffer)
+        return len(self._pending)
 
-    def feed(self, data: bytes) -> List[Tuple[int, Action, int]]:
+    @property
+    def pending_bytes(self) -> bytes:
+        """The buffered bytes themselves (``pending`` of them)."""
+        return self._pending
+
+    def feed(self, data: bytes, payloads: Optional[List[bytes]] = None
+             ) -> List[Tuple[int, Action, int]]:
         """Decode complete frames in ``buffered + data``.
 
         Returns ``(seq, action, end_offset)`` triples up to (not including)
-        the first bad frame; check :attr:`error` after every call.
+        the first bad frame; check :attr:`error` after every call.  When a
+        ``payloads`` list is given, each returned frame's payload (its
+        pickled record exactly as written) is appended to it, in order.
         """
         if self.error is not None:
             return []
-        self._buffer.extend(data)
+        if self._pending:
+            data = self._pending + data
+        elif type(data) is not bytes:
+            data = bytes(data)
         out: List[Tuple[int, Action, int]] = []
-        buffer = self._buffer
-        while True:
-            if len(buffer) < FRAME_FIXED:
+        size = len(data)
+        view = memoryview(data)  # the digest reads a frame without a copy
+        base = self.offset  # absolute offset of data[0]
+        index = self.index
+        prev = self._prev
+        pos = 0
+        unpack, fixed = _CHAIN_HEADER.unpack_from, FRAME_FIXED
+        digest_at = _CHAIN_HEADER.size  # where the previous frame's digest sits
+        crc32, sha256, loads = zlib.crc32, hashlib.sha256, pickle.loads
+        while size - pos >= fixed:
+            seq, length, crc = unpack(data, pos)
+            start = pos + fixed
+            end = start + length
+            if end > size:
                 break
-            seq, length, crc = _CHAIN_HEADER.unpack_from(buffer, 0)
-            if len(buffer) < FRAME_FIXED + length:
-                break
-            frame = bytes(buffer[: FRAME_FIXED + length])
-            prev = frame[_CHAIN_HEADER.size : FRAME_FIXED]
-            payload = frame[FRAME_FIXED:]
-            if prev != self._prev:
+            if not data.startswith(prev, pos + digest_at):
                 self.error = LogFormatError(
                     "chain digest mismatch (spliced, reordered or rewritten "
-                    "record)", self.offset, self.index,
+                    "record)", base + pos, index,
                 )
                 break
-            if zlib.crc32(payload) != crc:
-                self.error = LogFormatError("CRC mismatch", self.offset, self.index)
+            payload = data[start:end]
+            if crc32(payload) != crc:
+                self.error = LogFormatError("CRC mismatch", base + pos, index)
                 break
             try:
-                action = _decode(payload, self.offset, self.index)
-            except LogFormatError as error:
-                self.error = error
+                action = loads(payload)
+            except Exception as exc:
+                self.error = _undecodable(exc, base + pos, index)
                 break
-            self._prev = hashlib.sha256(frame).digest()
-            del buffer[: FRAME_FIXED + length]
-            self.offset += FRAME_FIXED + length
-            self.consumed = self.offset
-            self.index += 1
-            out.append((seq, action, self.consumed))
+            if not isinstance(action, Action):
+                self.error = _not_an_action(action, base + pos, index)
+                break
+            prev = sha256(view[pos:end]).digest()
+            pos = end
+            index += 1
+            out.append((seq, action, base + end))
+            if payloads is not None:
+                payloads.append(payload)
+        self._prev = prev
+        self.index = index
+        self.offset = self.consumed = base + pos
+        self._pending = data[pos:] if pos < size else b""
         return out
 
     def discard_pending(self) -> int:
@@ -362,8 +401,8 @@ class ChainDecoder:
         (and re-reading it next poll if it was real) keeps the reader's
         file offset pinned to a frame boundary at all times.
         """
-        dropped = len(self._buffer)
-        del self._buffer[:]
+        dropped = len(self._pending)
+        self._pending = b""
         self.offset = self.consumed
         return dropped
 
@@ -372,9 +411,9 @@ class ChainDecoder:
         tail (a buffered partial frame)."""
         if self.error is not None:
             raise self.error
-        if self._buffer:
+        if self._pending:
             raise LogFormatError(
-                f"truncated chained frame ({len(self._buffer)} trailing "
+                f"truncated chained frame ({len(self._pending)} trailing "
                 f"byte(s))", self.offset, self.index,
             )
 
@@ -426,11 +465,9 @@ class LogWriter:
     rewrite breaks the chain.  ``chained`` accepts only True: the
     ``VYRDLOG1`` format is read-only.
 
-    One :class:`pickle.Pickler` is kept for the whole stream -- building the
-    pickling machinery per record dominated save time on long logs.  The
-    memo is cleared between records, so each record is a self-contained
-    pickle that any frame boundary can decode with a fresh
-    :class:`pickle.Unpickler`.
+    Each payload is ``pickle.dumps(action, HIGHEST_PROTOCOL)``: a
+    self-contained pickle that any frame boundary can decode, and the very
+    bytes :func:`log_signature` hashes for the record.
 
     ``sync=True`` makes :meth:`flush` an *acknowledgment point*: buffered
     frames are flushed and ``fsync``-ed, so records written before a flush
@@ -463,10 +500,6 @@ class LogWriter:
         else:
             self._prev_digest = genesis_digest(shard_id)
             self._file.write(LOG_MAGIC2 + _SHARD_PROLOGUE.pack(shard_id))
-        self._buffer = io.BytesIO()
-        self._pickler = pickle.Pickler(
-            self._buffer, protocol=pickle.HIGHEST_PROTOCOL
-        )
 
     @property
     def head_digest(self) -> str:
@@ -478,12 +511,7 @@ class LogWriter:
         return self._prev_digest.hex()
 
     def write(self, action: Action, seq: Optional[int] = None) -> None:
-        buffer = self._buffer
-        buffer.seek(0)
-        buffer.truncate()
-        self._pickler.dump(action)
-        self._pickler.clear_memo()
-        payload = buffer.getvalue()
+        payload = pickle.dumps(action, protocol=pickle.HIGHEST_PROTOCOL)
         if seq is None:
             seq = self._next_seq
         self._next_seq = seq + 1
@@ -597,14 +625,25 @@ class LogReader:
         if self.shard_id is None:
             yield from self._framed_records()
             return
+        for frames in self._chained_frames():
+            for _seq, action, end in frames:
+                yield action, end
+
+    def _chained_frames(self) -> Iterator[List[Tuple[int, Action, int]]]:
+        """Yield the decoder's ``(seq, action, end_offset)`` triples one
+        file chunk at a time; raise :exc:`LogFormatError` after the frames
+        before the first bad one."""
         self._decoder = decoder = ChainDecoder(
             self.shard_id, base_offset=self._data_start
         )
         file = self._file
         while True:
-            data = file.read(1 << 20)
-            for _seq, action, end in decoder.feed(data):
-                yield action, end
+            # reading at least what the decoder holds doubles the reads
+            # through a frame longer than a chunk: copying stays linear
+            data = file.read(max(1 << 20, decoder.pending))
+            frames = decoder.feed(data)
+            if frames:
+                yield frames
             if decoder.error is not None:
                 raise decoder.error
             if not data:
@@ -635,7 +674,12 @@ class LogReader:
 
     def read_log(self) -> Log:
         """Materialize the whole file as an in-memory :class:`Log`."""
-        return Log(iter(self))
+        if self._error is not None or self.shard_id is None:
+            return Log(iter(self))
+        actions: List[Action] = []
+        for frames in self._chained_frames():
+            actions.extend([action for _seq, action, _end in frames])
+        return Log(actions)
 
     def close(self) -> None:
         if self._owns:
@@ -893,6 +937,20 @@ def load_log(path) -> Log:
         return reader.read_log()
 
 
+#: Record type -> the kind :func:`validate_well_formed` checks it as (None:
+#: a record with no nesting obligation), in the order a subclass is matched
+#: against; a record of no listed type is unknown.
+_WELL_FORMED_KINDS = {
+    CallAction: CallAction,
+    ReturnAction: ReturnAction,
+    CommitAction: CommitAction,
+    BeginCommitBlockAction: BeginCommitBlockAction,
+    EndCommitBlockAction: EndCommitBlockAction,
+    **dict.fromkeys((WriteAction, ReplayAction, ReadAction, AcquireAction,
+                     ReleaseAction, SpawnAction, JoinAction)),
+}
+
+
 def validate_well_formed(log: Log) -> List[str]:
     """Check the well-formedness conditions of paper sections 3.2 and 4.1.
 
@@ -910,7 +968,12 @@ def validate_well_formed(log: Log) -> List[str]:
     finished_ops = set()
 
     for seq, action in enumerate(log):
-        if isinstance(action, CallAction):
+        kind = _WELL_FORMED_KINDS.get(type(action), Action)
+        if kind is Action:
+            kind = subclass_entry(_WELL_FORMED_KINDS, action, Action)
+        if kind is None:
+            continue  # no nesting obligation
+        if kind is CallAction:
             if action.tid in open_op:
                 problems.append(
                     f"@{seq}: thread {action.tid} called {action.method} while "
@@ -919,7 +982,7 @@ def validate_well_formed(log: Log) -> List[str]:
             if action.op_id in finished_ops:
                 problems.append(f"@{seq}: op_id {action.op_id} reused")
             open_op[action.tid] = [action.op_id, 0]
-        elif isinstance(action, ReturnAction):
+        elif kind is ReturnAction:
             current = open_op.get(action.tid)
             if current is None or current[0] != action.op_id:
                 problems.append(
@@ -929,7 +992,7 @@ def validate_well_formed(log: Log) -> List[str]:
             else:
                 del open_op[action.tid]
                 finished_ops.add(action.op_id)
-        elif isinstance(action, CommitAction):
+        elif kind is CommitAction:
             if action.op_id is not None:
                 current = open_op.get(action.tid)
                 if current is None or current[0] != action.op_id:
@@ -943,9 +1006,9 @@ def validate_well_formed(log: Log) -> List[str]:
                         problems.append(
                             f"@{seq}: op {action.op_id} committed more than once"
                         )
-        elif isinstance(action, BeginCommitBlockAction):
+        elif kind is BeginCommitBlockAction:
             open_blocks[action.tid] = open_blocks.get(action.tid, 0) + 1
-        elif isinstance(action, EndCommitBlockAction):
+        elif kind is EndCommitBlockAction:
             depth = open_blocks.get(action.tid, 0)
             if depth == 0:
                 problems.append(
@@ -953,10 +1016,6 @@ def validate_well_formed(log: Log) -> List[str]:
                 )
             else:
                 open_blocks[action.tid] = depth - 1
-        elif isinstance(action, (WriteAction, ReplayAction, ReadAction,
-                                 AcquireAction, ReleaseAction,
-                                 SpawnAction, JoinAction)):
-            pass
         else:
             problems.append(f"@{seq}: unknown action type {type(action).__name__}")
 

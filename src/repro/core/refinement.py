@@ -58,6 +58,8 @@ from .actions import (
     ReturnAction,
     Signature,
     WriteAction,
+    ignore_record,
+    subclass_entry,
 )
 from ..obs import NULL_RECORDER, Recorder
 from .checkpoint import Checkpoint, CheckpointError
@@ -429,9 +431,16 @@ class RefinementChecker:
     # -- draining -----------------------------------------------------------------
 
     def _drain(self) -> None:
-        while self._buffer and not self._stopped:
-            seq, action = self._buffer[0]
-            if isinstance(action, CommitAction) and action.op_id is not None:
+        buffer = self._buffer
+        while buffer and not self._stopped:
+            seq, action = buffer[0]
+            process = _PROCESS.get(type(action))
+            if process is None:
+                process = subclass_entry(
+                    _PROCESS, action, RefinementChecker._process_unknown
+                )
+            if (process is RefinementChecker._process_commit
+                    and action.op_id is not None):
                 record = self._ops.get(action.op_id)
                 needs_return = (
                     record is not None
@@ -440,8 +449,8 @@ class RefinementChecker:
                 )
                 if needs_return:
                     return  # wait for the return value (online lookahead)
-            self._buffer.popleft()
-            self._process(seq, action)
+            buffer.popleft()
+            process(self, seq, action)
             self.outcome.actions_processed += 1
 
     def _violate(
@@ -460,62 +469,59 @@ class RefinementChecker:
             self._stopped = True
 
     # -- per-action processing --------------------------------------------------------
+    # One handler per record type (``_PROCESS``); Read, Acquire and Release
+    # records are atomicity-analysis events that refinement ignores.
 
-    def _process(self, seq: int, action: Action) -> None:
-        if isinstance(action, CallAction):
-            self._process_call(seq, action)
-        elif isinstance(action, WriteAction):
-            if self._track_state:
-                loc = action.loc
-                self.replay.apply_write(action.tid, loc, action.old, action.new)
-                if self.obs.enabled:
-                    self.obs.count("replay.writes")
-                if self.impl_view is not None:
-                    self.impl_view.on_write(loc)
-                for unit_state in self._unit_invariants:
-                    unit_state.on_write(loc)
-        elif isinstance(action, ReplayAction):
-            if self._track_state:
-                if self.obs.enabled:
-                    with self.obs.span(
-                        "checker.replay", cat="checker", tid=action.tid,
-                        tag=action.tag,
-                    ):
-                        written = self.replay.apply_replay(
-                            action.tid, action.tag, action.payload
-                        )
-                else:
+    def _process_write(self, seq: int, action: WriteAction) -> None:
+        if self._track_state:
+            loc = action.loc
+            self.replay.apply_write(action.tid, loc, action.old, action.new)
+            if self.obs.enabled:
+                self.obs.count("replay.writes")
+            if self.impl_view is not None:
+                self.impl_view.on_write(loc)
+            for unit_state in self._unit_invariants:
+                unit_state.on_write(loc)
+
+    def _process_replay(self, seq: int, action: ReplayAction) -> None:
+        if self._track_state:
+            if self.obs.enabled:
+                with self.obs.span(
+                    "checker.replay", cat="checker", tid=action.tid,
+                    tag=action.tag,
+                ):
                     written = self.replay.apply_replay(
                         action.tid, action.tag, action.payload
                     )
-                if self.impl_view is not None:
-                    for loc in written:
-                        self.impl_view.on_write(loc)
-                for unit_state in self._unit_invariants:
-                    for loc in written:
-                        unit_state.on_write(loc)
-        elif isinstance(action, BeginCommitBlockAction):
-            if self._track_state:
-                try:
-                    self.replay.begin_block(action.tid)
-                except ValueError as exc:
-                    self._violate(ViolationKind.INSTRUMENTATION, seq, str(exc))
-        elif isinstance(action, EndCommitBlockAction):
-            if self._track_state:
-                try:
-                    self.replay.end_block(action.tid)
-                except ValueError as exc:
-                    self._violate(ViolationKind.INSTRUMENTATION, seq, str(exc))
-        elif isinstance(action, CommitAction):
-            self._process_commit(seq, action)
-        elif isinstance(action, ReturnAction):
-            self._process_return(seq, action)
-        elif isinstance(action, (ReadAction, AcquireAction, ReleaseAction)):
-            pass  # atomicity-analysis events; refinement ignores them
-        else:
-            self._violate(
-                ViolationKind.INSTRUMENTATION, seq, f"unknown action {action!r}"
-            )
+            else:
+                written = self.replay.apply_replay(
+                    action.tid, action.tag, action.payload
+                )
+            if self.impl_view is not None:
+                for loc in written:
+                    self.impl_view.on_write(loc)
+            for unit_state in self._unit_invariants:
+                for loc in written:
+                    unit_state.on_write(loc)
+
+    def _process_begin_block(self, seq: int, action: BeginCommitBlockAction) -> None:
+        if self._track_state:
+            try:
+                self.replay.begin_block(action.tid)
+            except ValueError as exc:
+                self._violate(ViolationKind.INSTRUMENTATION, seq, str(exc))
+
+    def _process_end_block(self, seq: int, action: EndCommitBlockAction) -> None:
+        if self._track_state:
+            try:
+                self.replay.end_block(action.tid)
+            except ValueError as exc:
+                self._violate(ViolationKind.INSTRUMENTATION, seq, str(exc))
+
+    def _process_unknown(self, seq: int, action: Action) -> None:
+        self._violate(
+            ViolationKind.INSTRUMENTATION, seq, f"unknown action {action!r}"
+        )
 
     def _process_call(self, seq: int, action: CallAction) -> None:
         try:
@@ -888,6 +894,22 @@ class RefinementChecker:
             self._check_unit_invariant_drift()
         self.outcome.stats.setdefault("pending_observers", self._observers.pending_count())
         return self.outcome
+
+
+#: Record type -> handler, in the order a subclass is matched against; any
+#: other record is an instrumentation violation.
+_PROCESS = {
+    CallAction: RefinementChecker._process_call,
+    WriteAction: RefinementChecker._process_write,
+    ReplayAction: RefinementChecker._process_replay,
+    BeginCommitBlockAction: RefinementChecker._process_begin_block,
+    EndCommitBlockAction: RefinementChecker._process_end_block,
+    CommitAction: RefinementChecker._process_commit,
+    ReturnAction: RefinementChecker._process_return,
+    ReadAction: ignore_record,
+    AcquireAction: ignore_record,
+    ReleaseAction: ignore_record,
+}
 
 
 def check_log(

@@ -211,6 +211,26 @@ def lint_class_source(
     source; ``observers`` defaults to the ``"observer"`` entries of a
     literal ``VYRD_METHODS`` class attribute.
     """
+    from .effects import effect_findings  # late import: effects uses rules
+
+    classdef, operations, observers, findings = _rule_findings(
+        source, filename, first_line, classname, operations, observers,
+    )
+    findings.extend(effect_findings(
+        source,
+        filename=filename,
+        first_line=first_line,
+        classname=classdef.name,
+        operations=operations,
+        observers=observers,
+    ))
+    return _unsuppressed(findings, source, first_line)
+
+
+def _rule_findings(source, filename, first_line, classname, operations,
+                   observers):
+    """The per-method rule findings of one class, before suppression, with
+    its class definition and resolved operations and observers."""
     tree = ast.parse(textwrap.dedent(source))
     classdef = None
     for stmt in ast.walk(tree):
@@ -247,16 +267,12 @@ def lint_class_source(
         analysis = MethodAnalysis(fn, role, filename, line_offset, summaries)
         for rule_pass in passes:
             findings.extend(rule_pass(analysis))
-    from .effects import effect_findings  # late import: effects uses rules
+    return classdef, operations, observers, findings
 
-    findings.extend(effect_findings(
-        source,
-        filename=filename,
-        first_line=first_line,
-        classname=classdef.name,
-        operations=operations,
-        observers=observers,
-    ))
+
+def _unsuppressed(findings: List[LintFinding], source: str,
+                  first_line: int) -> List[LintFinding]:
+    """Findings without the suppressed ones, sorted."""
     table = _suppression_table(source, first_line)
     findings = [f for f in findings if not _suppressed(f, table)]
     findings.sort(key=lambda f: (f.file, f.line, f.rule_id))
@@ -268,8 +284,11 @@ def lint_class(impl, *, observers: Optional[Set[str]] = None) -> List[LintFindin
 
     ``@operation`` methods are discovered from the runtime marker the
     decorator leaves; ``observers`` defaults to the class's
-    ``VYRD_METHODS`` declaration.
+    ``VYRD_METHODS`` declaration.  The VY007/VY008 findings come from the
+    class's memoized effect analysis (:func:`~repro.lint.analyze_class`).
     """
+    from .effects import _memoized_analysis  # late import: effects uses rules
+
     cls = impl if inspect.isclass(impl) else type(impl)
     try:
         lines, first_line = inspect.getsourcelines(cls)
@@ -289,14 +308,15 @@ def lint_class(impl, *, observers: Optional[Set[str]] = None) -> List[LintFindin
             observers = {
                 name for name, role in declared.items() if role == "observer"
             }
-    return lint_class_source(
-        "".join(lines),
-        filename=filename,
-        first_line=first_line,
-        classname=cls.__name__,
-        operations=operations or None,
-        observers=observers,
+    source = "".join(lines)
+    _, _, _, findings = _rule_findings(
+        source, filename, first_line, cls.__name__, operations or None,
+        observers,
     )
+    findings.extend(
+        _memoized_analysis(cls, observers, (lines, first_line)).findings
+    )
+    return _unsuppressed(findings, source, first_line)
 
 
 def lint_program(name: str) -> List[LintFinding]:

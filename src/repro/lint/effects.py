@@ -1337,6 +1337,14 @@ def analyze_class(impl, *, observers: Optional[Set[str]] = None) -> ClassEffects
     The key needs no digest of the source: a loaded class changes only by
     re-import, which makes a new class object (and reading the source
     costs as much as a small analysis)."""
+    return _memoized_analysis(impl, observers, None)
+
+
+def _memoized_analysis(impl, observers: Optional[Set[str]],
+                       source: Optional[Tuple[List[str], int]]) -> ClassEffects:
+    """:func:`analyze_class`; ``source`` is the class's
+    ``inspect.getsourcelines`` when the caller has read it already (the
+    linter), so a memo miss does not read it again."""
     import inspect
 
     cls = impl if inspect.isclass(impl) else type(impl)
@@ -1355,12 +1363,14 @@ def analyze_class(impl, *, observers: Optional[Set[str]] = None) -> ClassEffects
     key = (ops, None if observers is None else frozenset(observers))
     memo = _ANALYSES.setdefault(cls, {})
     if key not in memo:
-        try:
-            lines, first_line = inspect.getsourcelines(cls)
-        except (OSError, TypeError) as exc:
-            raise ValueError(
-                f"cannot retrieve source for {cls.__name__}: {exc}"
-            ) from exc
+        if source is None:
+            try:
+                source = inspect.getsourcelines(cls)
+            except (OSError, TypeError) as exc:
+                raise ValueError(
+                    f"cannot retrieve source for {cls.__name__}: {exc}"
+                ) from exc
+        lines, first_line = source
         memo[key] = analyze_class_source(
             "".join(lines),
             filename=inspect.getsourcefile(cls) or "<unknown>",

@@ -21,7 +21,7 @@ from ..core.actions import Action
 from ..core.checkpoint import CheckpointError
 from ..core.plan import CheckPlan
 from .happens_before import HappensBeforeDetector
-from .lockset import ERASER, LocksetEngine
+from .lockset import ERASER, HeldLockTracker, LocksetEngine
 from .model import HB_DETECTOR, LOCKSET_DETECTOR, Race, RaceOutcome
 
 #: Accepted spellings for detector selection.
@@ -84,13 +84,15 @@ class RaceChecker:
         self.detectors = normalize_detectors(detectors)
         self.stop_at_first = stop_at_first
         self.atomic_locs = tuple(atomic_locs)
+        held = HeldLockTracker()  # both detectors track the same locks
         self._hb: Optional[HappensBeforeDetector] = (
-            HappensBeforeDetector(atomic_locs=self.atomic_locs)
+            HappensBeforeDetector(atomic_locs=self.atomic_locs, held=held)
             if HB_DETECTOR in self.detectors
             else None
         )
         self._lockset: Optional[LocksetEngine] = (
-            LocksetEngine(discipline=ERASER, atomic_locs=self.atomic_locs)
+            LocksetEngine(discipline=ERASER, atomic_locs=self.atomic_locs,
+                          held=held)
             if LOCKSET_DETECTOR in self.detectors
             else None
         )
@@ -110,14 +112,15 @@ class RaceChecker:
     def feed(self, actions: Iterable[Action]) -> List[Race]:
         """Process the next chunk of log records; returns races found in it."""
         found: List[Race] = []
+        engines = [
+            engine for engine in (self._hb, self._lockset) if engine is not None
+        ]
         for action in actions:
             if self._stopped:
                 break
             seq = self._seq
             self._seq += 1
-            for engine in (self._hb, self._lockset):
-                if engine is None:
-                    continue
+            for engine in engines:
                 race = engine.feed(seq, action)
                 if race is not None:
                     found.append(race)

@@ -31,7 +31,11 @@ LOCKSET_DETECTOR = "lockset"
 
 @dataclass(frozen=True)
 class AccessSite:
-    """One end of a racing pair: who touched what, where in the log."""
+    """One end of a racing pair: who touched what, where in the log.
+
+    The detectors keep every access as a plain tuple of these fields, in
+    this order, and build the object only for a reported race.
+    """
 
     tid: int
     seq: int                      # global log sequence number

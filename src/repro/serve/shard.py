@@ -32,7 +32,6 @@ from typing import IO, Dict, List, Optional, Tuple
 
 from ..core.actions import Action
 from ..core.log import (
-    FRAME_FIXED,
     PROLOGUE_SIZE,
     ChainDecoder,
     ChainReport,
@@ -219,7 +218,6 @@ class ShardTail:
         self.error: Optional[LogFormatError] = None
         self._decoder: Optional[ChainDecoder] = None
         self._accepted = hashlib.sha256()
-        self._carry = b""  # bytes the decoder holds as a partial frame
 
     @property
     def started(self) -> bool:
@@ -266,9 +264,14 @@ class ShardTail:
         data = self.store.read_range(self.name, self.offset, end)
         self.offset += len(data)
         decoder = self._decoder
-        base = decoder.consumed  # absolute offset of ``buffer[0]``
-        buffer = self._carry + data if self._carry else data
-        frames = decoder.feed(data)
+        held = decoder.pending_bytes  # the start of a frame ``data`` may end
+        payloads: List[bytes] = []
+        frames = decoder.feed(data, payloads)
+        if frames:
+            # whole frames only: the held bytes, then ``data`` up to the
+            # partial (or bad) frame the decoder holds now
+            self._accepted.update(held)
+            self._accepted.update(memoryview(data)[: len(data) - decoder.pending])
         if decoder.error is not None:
             self.error = decoder.error
         elif end >= size and decoder.pending:
@@ -282,16 +285,11 @@ class ShardTail:
             # to a frame boundary, so salvage truncation is invisible to a
             # live tail.  The bytes re-read next poll are at most one frame.
             self.offset -= decoder.discard_pending()
-        out = []
-        start = 0
-        for seq, action, frame_end in frames:
-            stop = frame_end - base
-            out.append((seq, action, buffer[start + FRAME_FIXED : stop]))
-            start = stop
-        self._accepted.update(memoryview(buffer)[:start])
-        self._carry = buffer[start:] if decoder.pending else b""
         self.records += len(frames)
-        return out
+        return [
+            (seq, action, payload)
+            for (seq, action, _end), payload in zip(frames, payloads)
+        ]
 
     def at_clean_boundary(self) -> bool:
         """True when every byte handed to the decoder formed whole frames."""

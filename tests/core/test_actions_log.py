@@ -35,8 +35,10 @@ from repro.core.log import (
     _CHAIN_HEADER,
     FRAME_FIXED,
     PROLOGUE_SIZE,
+    ChainDecoder,
     LogFormatError,
 )
+from repro.harness import PROGRAMS, run_program
 
 
 def _simple_log():
@@ -188,10 +190,9 @@ def test_stream_round_trip_in_memory():
 
 
 def test_framed_records_are_independently_loadable(tmp_path):
-    """The stream pickler's memo is cleared per record, so every chained
-    frame's payload is a self-contained pickle: a fresh Unpickler at any
-    frame must succeed, even with payload objects repeated across
-    records."""
+    """Every chained frame's payload is a self-contained pickle: a fresh
+    Unpickler at any frame must succeed, even with payload objects repeated
+    across records."""
     payload = ("shared-payload", 7)
     log = Log(CallAction(0, i, "m", (payload,)) for i in range(6))
     path = tmp_path / "framed.vyrdlog"
@@ -205,6 +206,47 @@ def test_framed_records_are_independently_loadable(tmp_path):
         restored.append(pickle.loads(data[start:start + length]))
         offset = start + length
     assert restored == list(log)
+
+
+def _frame_payloads(path):
+    data = path.read_bytes()
+    decoder = ChainDecoder(0, base_offset=PROLOGUE_SIZE)
+    payloads = []
+    frames = decoder.feed(data[PROLOGUE_SIZE:], payloads)
+    decoder.finish()
+    assert len(frames) == len(payloads)
+    return payloads
+
+
+def _dumps(actions):
+    return [pickle.dumps(action, pickle.HIGHEST_PROTOCOL) for action in actions]
+
+
+@pytest.mark.parametrize("program", sorted(PROGRAMS))
+def test_frame_payloads_are_pickle_dumps(program, tmp_path):
+    """Each frame ``LogWriter`` writes carries ``pickle.dumps`` of its
+    record: the bytes ``log_signature`` hashes."""
+    for buggy in (False, True):
+        log = run_program(program, buggy=buggy, num_threads=3,
+                          calls_per_thread=6, seed=1, log_locks=True,
+                          log_reads=True).log
+        path = tmp_path / f"{program}-{buggy}.vlog"
+        save_log(log, path)
+        assert _frame_payloads(path) == _dumps(log)
+
+
+def test_large_payloads_are_pickle_dumps(tmp_path):
+    """Values at and past the pickler's 64 KiB frame size, between small
+    records, are pickled exactly as ``pickle.dumps`` pickles them."""
+    log = []
+    for size in ((1 << 16) - 1, 1 << 16, (1 << 16) + 1, 1 << 20):
+        log.append(WriteAction(0, 1, "blob", None, b"b" * size))
+        log.append(ReplayAction(1, 2, "text", "s" * size))
+        log.append(ReadAction(0, 1, "blob"))
+    path = tmp_path / "large.vlog"
+    save_log(Log(log), path)
+    assert _frame_payloads(path) == _dumps(log)
+    assert list(load_log(path)) == log
 
 
 def _bare_pickle_stream(path):

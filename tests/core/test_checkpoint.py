@@ -16,6 +16,8 @@ from repro.core import (
     load_log,
 )
 from repro.core.checkpoint import FORMAT_VERSION, MAGIC
+from repro.core.plan import CheckPlan
+from repro.harness import PROGRAMS, run_program
 from repro.serve import session_checkers
 from repro.tools.cli import main
 
@@ -194,6 +196,54 @@ def test_version_two_checkpoint_is_rejected_and_check_falls_back(tmp_path, capsy
     resume = fallback.pop("resume")
     assert resume["resume_seq"] == 0 and "version" in resume["rejected"]
     assert fallback == straight
+
+
+def test_version_three_checkpoint_is_rejected_and_check_falls_back(tmp_path, capsys):
+    """Format 4 changed the race detectors' pickled state.  A version-3
+    blob is refused with the typed error and ``check --resume`` falls back
+    to record zero."""
+    log_path = str(tmp_path / "mv.vlog")
+    ckpt = tmp_path / "mv.vyrdckpt"
+    main(["run", "--program", "multiset-vector", "--threads", "3",
+          "--calls", "10", "--seed", "2", "--save", log_path])
+    capsys.readouterr()
+    check = ["check", log_path, "--program", "multiset-vector", "--json"]
+    assert main([*check, "--checkpoint", str(ckpt)]) == 0
+    straight = json.loads(capsys.readouterr().out)
+    ckpt.write_bytes(ckpt.read_bytes().replace(
+        f'"version": {FORMAT_VERSION}'.encode(), b'"version": 3'
+    ))
+    with pytest.raises(CheckpointError, match="version 3"):
+        Checkpoint.load(str(ckpt))
+    assert main([*check, "--resume", str(ckpt)]) == 0
+    fallback = json.loads(capsys.readouterr().out)
+    resume = fallback.pop("resume")
+    assert resume["resume_seq"] == 0 and "version" in resume["rejected"]
+    assert fallback == straight
+
+
+def test_race_checkpoint_between_the_two_sites_of_a_race():
+    """A ``races="both"`` plan checkpointed mid-log, between the two access
+    sites of the first race, resumes to the uninterrupted run's report:
+    the site kept before the cut survives the checkpoint."""
+    log = list(run_program(
+        "multiset-vector", buggy=True, num_threads=4, calls_per_thread=6,
+        seed=0, log_locks=True, log_reads=True,
+    ).log)
+    plan = CheckPlan(races="both",
+                     atomic_locs=tuple(PROGRAMS["multiset-vector"].atomic_locs))
+    straight = plan.check(log).races
+    first = straight.races[0]
+    cut = first.access.seq
+    assert first.prior.seq < cut
+    before = plan.checker()
+    before.feed(log[:cut])
+    checkpoint = Checkpoint.from_bytes(before.checkpoint().to_bytes())
+    assert checkpoint.resume_seq == cut
+    resumed = plan.checker()
+    resumed.restore(checkpoint)
+    resumed.feed(log[cut:])
+    assert resumed.finish().races.to_dict() == straight.to_dict()
 
 
 def test_checkpoint_preserves_buffered_lookahead():

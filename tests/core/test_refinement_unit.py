@@ -383,3 +383,54 @@ def test_methods_checked_counts_returns():
     outcome = check_log(log, RegisterSpec(), mode="io")
     assert outcome.methods_checked == 3
     assert outcome.actions_processed == len(log)
+
+
+def test_record_subclasses_dispatch_like_their_base_types():
+    """The checkers dispatch each record on its exact type; a subclass of a
+    record type takes its base type's handler (the order of the
+    ``isinstance`` chain the tables replaced), and a type they do not know
+    stays an instrumentation problem."""
+    from repro.core import (
+        AcquireAction,
+        ReadAction,
+        ReleaseAction,
+        SpawnAction,
+        validate_well_formed,
+    )
+    from repro.races import check_races
+
+    def sub(base):
+        return type(f"Tagged{base.__name__}", (base,), {"__slots__": ()})
+
+    kinds = (CallAction, WriteAction, CommitAction, ReturnAction, ReadAction,
+             AcquireAction, ReleaseAction)
+    tagged = {base: sub(base) for base in kinds}
+
+    def log_of(types):
+        return Log([
+            types[CallAction](0, 0, "set", (5,)),
+            types[AcquireAction](0, 0, "l"),
+            types[WriteAction](0, 0, "reg", None, 5),
+            types[ReadAction](0, 0, "reg"),
+            types[ReleaseAction](0, 0, "l"),
+            types[CommitAction](0, 0),
+            types[ReturnAction](0, 0, "set", True),
+            types[WriteAction](1, None, "reg", 5, 6),
+        ])
+
+    plain, subclassed = log_of({base: base for base in kinds}), log_of(tagged)
+    assert [type(a).__name__ for a in subclassed][:2] == [
+        "TaggedCallAction", "TaggedAcquireAction"]
+    for mode, view in (("io", None), ("view", register_view())):
+        expected = check_log(plain, RegisterSpec(), mode=mode, impl_view=view)
+        got = check_log(subclassed, RegisterSpec(), mode=mode,
+                        impl_view=register_view() if view else None)
+        assert got.to_dict() == expected.to_dict()
+        assert got.commits_executed == 1
+    assert validate_well_formed(subclassed) == validate_well_formed(plain) == []
+    races = check_races(subclassed, detectors="both").to_dict()
+    assert races == check_races(plain, detectors="both").to_dict()
+    assert len(races["races"]) == 2  # the unlocked write races both ways
+    spawn = Log([SpawnAction(0, None, 1)])
+    assert "unknown action" in check_log(spawn, RegisterSpec()).first_violation.message
+    assert validate_well_formed(Log([sub(SpawnAction)(0, None, 1)])) == []

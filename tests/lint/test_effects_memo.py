@@ -67,6 +67,32 @@ def test_a_memo_hit_reads_no_source(cold, monkeypatch):
     assert analyze_program("blinktree") is first
 
 
+def test_lint_takes_the_memoized_analysis(cold, tables, monkeypatch):
+    """Linting a program whose class was analyzed reruns no effect
+    analysis: its VY007/VY008 findings come from the memo.  A cold lint
+    analyzes once and reads the class source once."""
+    from repro.lint import lint_program
+
+    analyze_program("blinktree")
+    assert len(tables) == 1
+    for _ in range(3):
+        assert lint_program("blinktree") == []
+    assert len(tables) == 1
+
+    reads = []
+    read = inspect.getsourcelines
+
+    def counting(obj):
+        reads.append(obj)
+        return read(obj)
+
+    monkeypatch.setattr(inspect, "getsourcelines", counting)
+    assert lint_program("multiset-vector") == []
+    assert len(tables) == 2 and len(reads) == 1
+    analyze_program("multiset-vector")  # the lint's analysis, memoized
+    assert len(tables) == 2 and len(reads) == 1
+
+
 def test_observers_are_part_of_the_key(cold, tables):
     cls = blinktree_class()
     declared = analyze_class(cls)

@@ -225,3 +225,25 @@ def test_render_first_race_none_when_clean():
     assert result.race_outcome.ok
     assert render_first_race(result.log, result.race_outcome) is None
     assert "RACE-FREE" in format_race_outcome(result.race_outcome)
+
+
+def test_race_free_log_builds_no_access_site(monkeypatch):
+    """Sites are kept as tuples: a ``both`` checker over a race-free log
+    with locks and reads constructs no :class:`AccessSite` at all."""
+    from repro.races import AccessSite
+
+    log = run_program("multiset-vector", num_threads=4, calls_per_thread=6,
+                      seed=0, log_locks=True, log_reads=True).log
+    assert any(type(action).__name__ == "AcquireAction" for action in log)
+    assert any(type(action).__name__ == "ReadAction" for action in log)
+    built = []
+    original = AccessSite.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(AccessSite, "__init__", counting_init)
+    outcome = check_races(log, detectors="both")
+    assert outcome.ok and outcome.actions_processed == len(log)
+    assert built == []

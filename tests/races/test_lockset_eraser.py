@@ -176,6 +176,26 @@ def test_held_lock_tracker_modes():
     assert held.read_protection(0) == {"rw"}
 
 
+def test_held_lock_sets_are_cached_until_the_thread_locks_again():
+    """Each thread's frozen lock sets are built once and rebuilt only after
+    an acquire or release by that thread."""
+    held = HeldLockTracker()
+    held.apply(AcquireAction(0, 0, "l"))
+    zero = held.held(0)
+    assert held.held(0) is zero and held.read_protection(0) is zero
+    held.apply(AcquireAction(1, 1, "m"))
+    held.apply(ReleaseAction(1, 1, "m"))
+    assert held.held(0) is zero
+    held.apply(AcquireAction(0, 0, "rw", "r"))
+    assert held.held(0) == frozenset({"l", "rw"}) and held.held(0) is not zero
+    assert held.write_protection(0) == {"l"}
+    # a repeated acquire or a release of a lock not held changes nothing
+    after = held.held(0)
+    held.apply(AcquireAction(0, 0, "l"))
+    held.apply(ReleaseAction(0, 0, "other"))
+    assert held.held(0) is after
+
+
 def test_checker_facade_runs_lockset_only():
     outcome = check_races(Log([
         WriteAction(0, 0, "x", None, 1),

@@ -1,8 +1,11 @@
 """Shard writers/tails and the deterministic sequence-number merge."""
 
+import io
+import pickle
+
 import pytest
 
-from repro.core import WriteAction, verify_chain
+from repro.core import CallAction, ReplayAction, WriteAction, verify_chain
 from repro.serve import (
     MergeError,
     ObjectStoreStub,
@@ -141,3 +144,37 @@ def test_teelog_appends_to_log_and_shards():
     shards.close()
     assert list(tee) == records
     assert drain(store, "s", 2) == records
+
+
+def test_tail_split_at_every_offset_keeps_payloads_and_audit():
+    """Polled in chunks that split frames at every offset, a tail hands back
+    each frame's payload as written and audits the shard exactly like a
+    tail that read it in one poll: it hashed the prologue and whole frames
+    only, with no partial frame counted twice or dropped."""
+    records = [
+        CallAction(0, 0, "insert", (3, "x" * 40)),
+        *actions(8, tids=(0,)),
+        ReplayAction(0, 1, "bulk", tuple(range(30))),
+        WriteAction(0, 2, "r", None, "y" * 300),
+    ]
+    store = ObjectStoreStub()
+    manifest = spool(store, "s", records, 1)
+    head = manifest["shards"][0]["head_digest"]
+    body = store.get_bytes(shard_name("s", 0))
+    whole = ShardTail(store, "s", 0)
+    items = whole.poll(len(body))
+    assert [action for _seq, action, _payload in items] == records
+    expected = whole.audit(io.BytesIO(body), head)
+    assert expected is not None and expected.records == len(records)
+    payloads = [pickle.dumps(a, pickle.HIGHEST_PROTOCOL) for a in records]
+    longest = max(map(len, payloads))
+    for max_bytes in range(1, longest + 100):
+        tail = ShardTail(store, "s", 0)
+        got = []
+        while tail.offset < len(body):
+            got.extend(tail.poll(max_bytes))
+        assert tail.error is None and tail.at_clean_boundary()
+        assert [seq for seq, _action, _payload in got] == list(range(len(records)))
+        assert [action for _seq, action, _payload in got] == records
+        assert [payload for _seq, _action, payload in got] == payloads
+        assert tail.audit(io.BytesIO(body), head) == expected
