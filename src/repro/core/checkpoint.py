@@ -32,7 +32,7 @@ Design constraints
 File layout::
 
     VYRDCKPT1\\n
-    {"meta": {...}, "sha256": "...", "version": 4}\\n
+    {"meta": {...}, "sha256": "...", "version": 5}\\n
     <pickle bytes>
 
 Version 2 added the per-unit invariant state to the refinement payload.
@@ -40,8 +40,10 @@ Version 3 made the payload one entry per checker of the plan (refinement,
 races, linz history; :meth:`~repro.core.plan.PlanChecker.checkpoint`).
 Version 4 changed the race detectors' per-location state, which the payload
 pickles whole: access sites are tuples, epochs are fields, and both
-detectors share one lock tracker.  An older blob is rejected like any other
-unsupported version and the caller falls back to record zero.
+detectors share one lock tracker.  Version 5 dropped ``final_full_check``
+from the refinement checker's configuration fingerprint (the final full
+check always runs).  An older blob is rejected like any other unsupported
+version and the caller falls back to record zero.
 """
 
 from __future__ import annotations
@@ -50,10 +52,10 @@ import hashlib
 import json
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 MAGIC = b"VYRDCKPT1\n"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 class CheckpointError(Exception):

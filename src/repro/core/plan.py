@@ -87,7 +87,7 @@ class CheckPlan:
 
     * refinement, when ``mode`` is set: ``spec_factory``, ``view_factory``
       (view mode), ``invariants``, ``replay_registry``, ``stop_at_first``,
-      ``view_at``, ``final_full_check`` and ``differential`` (see
+      ``view_at`` and ``differential`` (see
       :class:`~repro.core.refinement.RefinementChecker`);
     * races, when ``races`` names detectors (any spelling
       :func:`~repro.races.normalize_detectors` accepts, normalized):
@@ -105,7 +105,6 @@ class CheckPlan:
     replay_registry: Optional[dict] = None
     stop_at_first: bool = True
     view_at: str = "commit"
-    final_full_check: bool = True
     differential: bool = True
     races: Optional[Tuple[str, ...]] = None
     atomic_locs: Tuple[str, ...] = ()
@@ -131,7 +130,6 @@ class CheckPlan:
         races=None,
         variant: str = "default",
         stop_at_first: bool = True,
-        memo: bool = True,
         max_nodes: int = 2_000_000,
     ) -> "CheckPlan":
         """The plan for a registry program in ``mode`` (``"io"``,
@@ -160,16 +158,16 @@ class CheckPlan:
             mode=IO_MODE if mode == BOTH else None,
             spec_factory=config.refinement_spec_factory or built.spec_factory,
             linz=True, linz_spec_factory=config.linz_spec_factory,
-            memo=memo, max_nodes=max_nodes,
-            divergence=config.expected_divergence,
+            max_nodes=max_nodes, divergence=config.expected_divergence,
         )
 
     def in_mode(self, mode: str, view_at: str = "commit") -> "CheckPlan":
         """This plan with its refinement member switched to ``mode``.
 
-        The io split: io mode carries neither the view nor the invariants
-        here, while a plan built from a :class:`~repro.core.Vyrd` in io mode
-        keeps the invariants it was given (docs/ARCHITECTURE.md section 3).
+        View mode carries the view and the invariants, io mode neither, so
+        an io plan logs at io level.  The switch drops what io mode does
+        not use; a plan *built* in io mode with invariants is refused when
+        its checker is made (:class:`~repro.core.refinement.RefinementChecker`).
         """
         view = mode == VIEW_MODE
         return replace(
@@ -180,13 +178,12 @@ class CheckPlan:
 
     @property
     def log_flags(self) -> Dict[str, Any]:
-        """What the tracer must record for these members: replayed state
-        needs view-level logging, the race detectors need lock and read
+        """What the tracer must record for these members: view mode needs
+        view-level logging, the race detectors need lock and read
         events."""
-        state = self.mode == VIEW_MODE or bool(self.invariants)
         sync = bool(self.races)
         return {
-            "log_level": VIEW_LEVEL if state else IO_LEVEL,
+            "log_level": VIEW_LEVEL if self.mode == VIEW_MODE else IO_LEVEL,
             "log_locks": sync,
             "log_reads": sync,
         }
@@ -202,7 +199,6 @@ class CheckPlan:
             invariants=self.invariants,
             replay_registry=self.replay_registry,
             stop_at_first=self.stop_at_first,
-            final_full_check=self.final_full_check,
             view_at=self.view_at,
             obs=self.obs,
             differential=self.differential,

@@ -208,8 +208,8 @@ class ViewComparator:
     **Invariant:** a key is in ``mismatched`` exactly when the materialized
     views disagree on it -- because a key's value can only change when its
     side reports it touched, and every touched key is re-evaluated.  The
-    checker's ``final_full_check`` cross-checks this invariant at the end of
-    every run.
+    checker's final full check (:meth:`RefinementChecker.finish`)
+    cross-checks this invariant at the end of every run.
 
     When either side cannot report deltas (``spec.view_delta()`` returns
     ``None``, or the impl view has no materialized value), the comparator
@@ -319,19 +319,15 @@ class RefinementChecker:
         computing ``viewI`` from the replayed state.
     invariants:
         :class:`~repro.core.invariants.Invariant` objects evaluated at every
-        commit (available in both modes; they force state replay on).  An
-        invariant with a per-unit form is evaluated only over the units
-        written since the last state check.
+        commit in view mode.  They read the replayed state, which io mode
+        does not keep, so io mode refuses them.  An invariant with a
+        per-unit form is evaluated only over the units written since the
+        last state check.
     replay_registry:
         ``tag -> routine(state, payload)`` for coarse-grained log entries.
     stop_at_first:
         Stop processing at the first violation (the paper's
         time-to-detection methodology); set ``False`` to collect all.
-    final_full_check:
-        In view mode, cross-check the incremental view against a
-        from-scratch recomputation and the spec view when the log ends;
-        in both modes, cross-check every per-unit invariant's failing set
-        against one full evaluation.
     view_at:
         When to compare ``viewI``/``viewS`` in view mode: ``"commit"`` (the
         paper's choice -- at every commit action) or ``"quiescent"`` (only
@@ -356,7 +352,6 @@ class RefinementChecker:
         invariants: Iterable[Invariant] = (),
         replay_registry: Optional[dict] = None,
         stop_at_first: bool = True,
-        final_full_check: bool = True,
         view_at: str = "commit",
         obs: Optional[Recorder] = None,
         differential: bool = True,
@@ -367,10 +362,12 @@ class RefinementChecker:
             raise ValueError(f"unknown view_at {view_at!r}")
         if mode == VIEW_MODE and impl_view is None:
             raise ValueError("view mode requires an impl_view")
+        self.invariants = list(invariants)
+        if mode == IO_MODE and self.invariants:
+            raise ValueError("io mode checks no invariants; use view mode")
         self.spec = spec
         self.mode = mode
         self.impl_view = impl_view
-        self.invariants = list(invariants)
         # per invariant: its running per-unit evaluation, or None (full form)
         self._invariant_states = [
             UnitInvariantState(invariant) if invariant.per_unit else None
@@ -381,10 +378,9 @@ class RefinementChecker:
             if unit_state is not None
         )
         self.stop_at_first = stop_at_first
-        self.final_full_check = final_full_check
         self.view_at = view_at
         self.obs: Recorder = obs if obs is not None else NULL_RECORDER
-        self._track_state = mode == VIEW_MODE or bool(self.invariants)
+        self._track_state = mode == VIEW_MODE
         self.replay = ReplayState(replay_registry) if self._track_state else None
         self._comparator = (
             ViewComparator(spec, impl_view, enabled=differential)
@@ -616,41 +612,33 @@ class RefinementChecker:
         if obs.enabled:
             obs.count("replay.overlays")
             obs.observe("replay.overlay_locs", state.overlay_size)
-        refresh_view = self.mode == VIEW_MODE and (
-            self.view_at == "commit" or where != "commit action"
-        )
         # locations rolled back by other threads' open commit blocks: the
         # view and the per-unit invariants revisit their units
-        shadowed = (
-            self.replay.open_block_locs(excluding_tid=tid)
-            if refresh_view or self._unit_invariants
-            else ()
-        )
-        if refresh_view:
-            if obs.enabled:
-                with obs.span("checker.view_refresh", cat="checker", tid=tid):
-                    view_impl = self.impl_view.refresh(state, shadowed)
-                recomputed = getattr(self.impl_view, "last_recomputed", None)
-                if recomputed is not None:
-                    obs.observe("view.units_recomputed", recomputed)
-            else:
+        shadowed = self.replay.open_block_locs(excluding_tid=tid)
+        if obs.enabled:
+            with obs.span("checker.view_refresh", cat="checker", tid=tid):
                 view_impl = self.impl_view.refresh(state, shadowed)
-            comparator = self._comparator
-            ok, diff = comparator.compare(view_impl)
-            if obs.enabled:
-                obs.observe("view.keys_compared", comparator.last_keys_compared)
-                obs.observe(
-                    "spec_view.keys_dirtied", comparator.last_spec_keys_dirtied
-                )
-            if not ok:
-                self._violate(
-                    ViolationKind.VIEW,
-                    seq,
-                    f"viewI differs from viewS at {where}",
-                    signature,
-                    diff=diff,
-                )
-                return
+            recomputed = getattr(self.impl_view, "last_recomputed", None)
+            if recomputed is not None:
+                obs.observe("view.units_recomputed", recomputed)
+        else:
+            view_impl = self.impl_view.refresh(state, shadowed)
+        comparator = self._comparator
+        ok, diff = comparator.compare(view_impl)
+        if obs.enabled:
+            obs.observe("view.keys_compared", comparator.last_keys_compared)
+            obs.observe(
+                "spec_view.keys_dirtied", comparator.last_spec_keys_dirtied
+            )
+        if not ok:
+            self._violate(
+                ViolationKind.VIEW,
+                seq,
+                f"viewI differs from viewS at {where}",
+                signature,
+                diff=diff,
+            )
+            return
         units_checked = 0
         for invariant, unit_state in zip(self.invariants, self._invariant_states):
             if unit_state is None:
@@ -730,7 +718,6 @@ class RefinementChecker:
             "mode": self.mode,
             "view_at": self.view_at,
             "stop_at_first": self.stop_at_first,
-            "final_full_check": self.final_full_check,
             "spec_type": type(self.spec).__name__,
             "impl_view_type": type(self.impl_view).__name__ if self.impl_view else None,
             "invariants": sorted(inv.name for inv in self.invariants),
@@ -835,7 +822,12 @@ class RefinementChecker:
             )
 
     def finish(self) -> CheckOutcome:
-        """Declare the log complete and return the final outcome."""
+        """Declare the log complete and return the final outcome.
+
+        The final full check, in view mode: the incremental view is
+        cross-checked against a from-scratch recomputation and the spec
+        view, and every per-unit invariant's failing set against one full
+        evaluation."""
         if self._finished:
             return self.outcome
         self._finished = True
@@ -846,7 +838,6 @@ class RefinementChecker:
         if (
             self.mode == VIEW_MODE
             and not self._stopped
-            and self.final_full_check
             and not self.outcome.incomplete
         ):
             state = self.replay.effective(None)
@@ -888,7 +879,6 @@ class RefinementChecker:
         if (
             self._unit_invariants
             and not self._stopped
-            and self.final_full_check
             and not self.outcome.incomplete
         ):
             self._check_unit_invariant_drift()
@@ -920,7 +910,6 @@ def check_log(
     invariants: Iterable[Invariant] = (),
     replay_registry: Optional[dict] = None,
     stop_at_first: bool = True,
-    final_full_check: bool = True,
     view_at: str = "commit",
     differential: bool = True,
 ) -> CheckOutcome:
@@ -934,7 +923,6 @@ def check_log(
         invariants=tuple(invariants),
         replay_registry=replay_registry,
         stop_at_first=stop_at_first,
-        final_full_check=final_full_check,
         view_at=view_at,
         differential=differential,
     )

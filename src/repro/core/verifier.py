@@ -58,8 +58,10 @@ class Vyrd:
     impl_view_factory:
         Builds a fresh :class:`ImplView`; required in view mode.
     invariants:
-        Runtime invariants evaluated at every commit, in either mode (only
-        :meth:`check_offline_with_mode` drops them in io mode).
+        Runtime invariants evaluated at every commit; view mode only, as
+        they read the replayed state.  Giving them in io mode raises
+        ``ValueError``.  An io session carries neither them nor the view,
+        and logs at io level (:meth:`~repro.core.plan.CheckPlan.in_mode`).
     replay_registry:
         Routines for coarse-grained log entries, ``tag -> fn(state, payload)``.
     log_level:
@@ -112,19 +114,22 @@ class Vyrd:
     ):
         if mode == VIEW_MODE and impl_view_factory is None:
             raise ValueError("view mode requires impl_view_factory")
+        invariants = tuple(invariants)
+        if mode == IO_MODE and invariants:
+            raise ValueError("io mode checks no invariants; use view mode")
         self.obs: Recorder = obs if obs is not None else NULL_RECORDER
         self.plan = CheckPlan(
             mode=mode,
             spec_factory=spec_factory,
             view_factory=impl_view_factory,
-            invariants=tuple(invariants),
+            invariants=invariants,
             replay_registry=dict(replay_registry or {}),
             races=races,
             atomic_locs=tuple(atomic_locs),
             linz=bool(linearizability),
             linz_spec_factory=linearizability if callable(linearizability) else None,
             obs=self.obs,
-        )
+        ).in_mode(mode)
         flags = self.plan.log_flags
         self.log = log if log is not None else Log()
         self.tracer = VyrdTracer(
@@ -187,7 +192,8 @@ class Vyrd:
 
         This is how the paper compares I/O and view refinement "on the same
         trace" (Table 1): one view-level log, two checkers.  Pure I/O mode
-        uses neither the replayed state nor the invariants.
+        uses neither the replayed state nor the invariants; an io session
+        has no view, so switching it to view mode raises ``ValueError``.
         ``view_at="quiescent"`` gives the commit-atomicity baseline of
         section 8 (state comparison only at quiescent points)."""
         checker = self.plan.in_mode(mode, view_at).refinement_checker()

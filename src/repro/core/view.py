@@ -324,7 +324,8 @@ class DependencyView(ImplView):
     Reachability is maintained with reference counts, so the link graph must
     be **acyclic** (true for B-link right-links, which always point to a
     strictly greater node): a cycle detached from the roots would keep
-    itself alive.  ``final_full_check`` guards against any such drift.
+    itself alive.  The checker's final full check guards against any such
+    drift.
 
     ``sort_key=None`` sorts aggregated values natively (matching views that
     previously used plain ``sorted``); pass a key function for mixed-type

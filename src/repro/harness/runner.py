@@ -130,7 +130,7 @@ def run_program(
         spec_factory=built.spec_factory,
         mode=mode,
         impl_view_factory=built.view_factory,
-        invariants=built.invariants,
+        invariants=built.invariants if mode == "view" else (),
         replay_registry=built.replay_registry,
         log_level=log_level,
         log_locks=log_locks,

@@ -4,7 +4,7 @@ Zero-cost when disabled: every pipeline stage holds a
 :class:`Recorder` (default :data:`NULL_RECORDER`) and guards its recording
 sites on ``recorder.enabled``.  Pass a :class:`MetricsRecorder` through
 ``Vyrd(obs=...)`` / ``Kernel(obs=...)`` / ``run_program(obs=...)`` (or use
-``vyrd profile`` / ``--metrics`` / ``--trace-out`` on the CLI) to collect:
+``--metrics`` / ``--trace-out`` on the CLI) to collect:
 
 * **counters** -- actions logged by type, commits checked, replay writes,
   t-tilde overlay constructions, verifier polls, scheduler steps per thread,

@@ -288,7 +288,8 @@ class MetricsRecorder(Recorder):
             histogram.merge(data)
 
     def to_dict(self) -> dict:
-        """Full JSON-serializable summary (CLI ``--json`` / ``profile``)."""
+        """Full JSON-serializable summary (the CLI's ``--json`` of ``run``,
+        ``explore``, ``faults`` and ``serve`` with ``--metrics``)."""
         return {
             "counters": {k: self.counters[k] for k in sorted(self.counters)},
             "histograms": {

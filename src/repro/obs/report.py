@@ -1,7 +1,8 @@
 """Human-readable profiling reports over a :class:`MetricsRecorder`.
 
-``vyrd profile`` and ``run --metrics`` print these tables; the same numbers
-round-trip through ``--json`` as :meth:`MetricsRecorder.to_dict`.
+``--metrics`` on ``run``, ``explore``, ``faults`` and ``serve`` prints these
+tables; the same numbers round-trip through ``--json`` as
+:meth:`MetricsRecorder.to_dict`.
 """
 
 from __future__ import annotations

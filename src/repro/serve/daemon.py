@@ -79,6 +79,11 @@ from .store import LogStore
 #: ``tests/serve/test_exception_disposition.py``.)
 FATAL_CHECKER_EXCEPTIONS = (MergeError, MemoryError)
 
+#: Seconds the ingest thread sleeps after a poll that found nothing new.
+POLL_INTERVAL = 0.002
+#: Seconds between health-blob writes (``<session>/HEALTH.json``).
+HEARTBEAT_INTERVAL = 0.25
+
 
 class QueueClosed(RuntimeError):
     """``put`` on a closed :class:`BoundedQueue`: its consumer is gone."""
@@ -242,10 +247,8 @@ class ServeSession:
         build as one :class:`~repro.core.PlanChecker`.
     queue_records:
         Bound of the ingest->checker queue; the memory cap and the
-        backpressure trigger.
-    pause_high / pause_low:
-        Queue depths (records) at which the store PAUSE flag is raised and
-        cleared; default 3/4 and 1/4 of ``queue_records``.
+        backpressure trigger.  The store PAUSE flag is raised at 3/4 of it
+        and cleared at 1/4.
     checker_delay:
         Artificial per-batch checker stall (seconds) -- the test hook that
         forces checker lag so backpressure determinism can be exercised.
@@ -270,10 +273,10 @@ class ServeSession:
         ingest and the canonical history continue; catch-up verification
         runs at drain).  ``degrade_lag`` should sit below ``queue_records``
         or backpressure caps the depth before the threshold can trip.
-    heartbeat_interval:
-        Seconds between health-blob writes (``<session>/HEALTH.json``);
-        ``0`` disables the periodic heartbeat (the final health snapshot is
-        always written and attached to the result).
+
+    A heartbeat thread writes the health blob (``<session>/HEALTH.json``)
+    every :data:`HEARTBEAT_INTERVAL` seconds; the final health snapshot is
+    always written and attached to the result.
     """
 
     def __init__(
@@ -286,16 +289,12 @@ class ServeSession:
         race_checker_factory: Optional[Callable] = None,
         queue_records: int = 4096,
         batch_records: int = 256,
-        poll_interval: float = 0.002,
-        pause_high: Optional[int] = None,
-        pause_low: Optional[int] = None,
         checker_delay: float = 0.0,
         timeout: float = 120.0,
         checkpoint_every: int = 0,
         resume: bool = False,
         degrade_lag: Optional[int] = None,
         degrade_after: float = 0.25,
-        heartbeat_interval: float = 0.25,
         obs: Optional[Recorder] = None,
     ):
         self.store = store
@@ -308,20 +307,14 @@ class ServeSession:
         # would wedge ingest until the session timeout; clamp, don't trust
         # the caller to keep the two knobs consistent.
         self.batch_records = max(1, min(batch_records, self.queue.max_records))
-        self.poll_interval = poll_interval
-        self.pause_high = (
-            pause_high if pause_high is not None else (queue_records * 3) // 4
-        )
-        self.pause_low = (
-            pause_low if pause_low is not None else queue_records // 4
-        )
+        self.pause_high = (queue_records * 3) // 4
+        self.pause_low = queue_records // 4
         self.checker_delay = checker_delay
         self.timeout = timeout
         self.checkpoint_every = max(0, checkpoint_every)
         self.resume = resume
         self.degrade_lag = degrade_lag
         self.degrade_after = max(0.0, degrade_after)
-        self.heartbeat_interval = max(0.0, heartbeat_interval)
         self.obs = obs if obs is not None else NULL_RECORDER
         # shared between the two daemon threads
         self._canonical: List[Action] = []
@@ -448,7 +441,7 @@ class ServeSession:
                                 f"{detail})"
                             )
                         return
-                time.sleep(self.poll_interval)
+                time.sleep(POLL_INTERVAL)
         except MergeError as exc:
             self._ingest_error = f"merge: {exc}"
         except StoreUnavailable as exc:  # a RetryingStore spent its budget
@@ -668,7 +661,7 @@ class ServeSession:
         return payload
 
     def _heartbeat(self, stop: threading.Event) -> None:
-        while not stop.wait(self.heartbeat_interval):
+        while not stop.wait(HEARTBEAT_INTERVAL):
             self._heartbeats += 1
             self._write_health(
                 "degraded" if self._checker_shed else "serving"
@@ -684,7 +677,6 @@ class ServeSession:
             self._resume_seq = self._restore_from_blob(checker)
         obs = self.obs
         heartbeat_stop = threading.Event()
-        heartbeat = None
         with obs.span("serve.session", cat="serve", session=self.session):
             ingest = threading.Thread(
                 target=self._ingest, args=(process,),
@@ -694,19 +686,17 @@ class ServeSession:
                 target=self._check, args=(checker,),
                 name=f"serve-check-{self.session}", daemon=True,
             )
-            if self.heartbeat_interval > 0:
-                heartbeat = threading.Thread(
-                    target=self._heartbeat, args=(heartbeat_stop,),
-                    name=f"serve-health-{self.session}", daemon=True,
-                )
-                heartbeat.start()
+            heartbeat = threading.Thread(
+                target=self._heartbeat, args=(heartbeat_stop,),
+                name=f"serve-health-{self.session}", daemon=True,
+            )
+            heartbeat.start()
             ingest.start()
             check.start()
             ingest.join()
             check.join()
-            if heartbeat is not None:
-                heartbeat_stop.set()
-                heartbeat.join(timeout=5.0)
+            heartbeat_stop.set()
+            heartbeat.join(timeout=5.0)
             if self._checker_shed:
                 with obs.span(
                     "serve.catchup", cat="serve", session=self.session
@@ -789,9 +779,7 @@ class ServeSession:
         stopped on an error) is hashed again, record by record."""
         merger = self._merger
         if merger is not None and merger.next_seq == len(self._canonical):
-            signature = merger.signature()
-            if signature is not None:
-                return signature
+            return merger.signature()
         return log_signature(self._canonical)
 
     def _audit_chains(self, manifest: dict) -> List[ChainReport]:
@@ -877,7 +865,6 @@ def serve_campaign(
     sync: bool = False,
     batch_records: int = 64,
     queue_records: int = 4096,
-    checker_delay: float = 0.0,
     timeout: float = 120.0,
     run_kwargs: Optional[dict] = None,
     supervise: bool = False,
@@ -943,7 +930,6 @@ def serve_campaign(
             checker_factory=plan.refinement_checker,
             race_checker_factory=plan.race_checker if plan.races else None,
             queue_records=queue_records,
-            checker_delay=checker_delay,
             timeout=timeout,
             degrade_lag=degrade_lag,
             obs=obs,

@@ -15,8 +15,8 @@ already-emitted sequence number (two shards claiming the same slot -- a
 splice the per-shard hash chains cannot see because each chain is
 internally consistent) raises :exc:`MergeError`.
 
-Records pushed as ``(seq, action, payload)`` -- what
-:meth:`~repro.serve.shard.ShardTail.poll` yields -- are signed as they are
+Records are pushed as ``(seq, action, payload)`` -- what
+:meth:`~repro.serve.shard.ShardTail.poll` yields -- and signed as they are
 emitted: their payload bytes fold into one running
 :class:`~repro.core.log.LogSigner`, the signer behind
 :func:`~repro.core.log.log_signature`, so :meth:`StreamMerger.signature` is
@@ -26,7 +26,7 @@ the canonical history's signature without pickling a record again.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Sequence
+from typing import Deque, List, Optional, Tuple
 
 from ..core.actions import Action
 from ..core.log import LogSigner
@@ -37,21 +37,20 @@ class MergeError(Exception):
 
 
 class StreamMerger:
-    """Buffer per-shard ``(seq, action[, payload])`` runs; emit the
+    """Buffer per-shard ``(seq, action, payload)`` runs; emit the
     contiguous prefix."""
 
     def __init__(self, num_shards: int):
-        self._queues: List[Deque[Sequence]] = [
+        self._queues: List[Deque[Tuple[int, Action, bytes]]] = [
             deque() for _ in range(num_shards)
         ]
         self._last_pushed: List[Optional[int]] = [None] * num_shards
         #: Next sequence number to emit (== records emitted so far).
         self.next_seq = 0
-        # Running signature of the emitted records; None once one of them
-        # came without its payload.
-        self._signer: Optional[LogSigner] = LogSigner()
+        # Running signature of the emitted records.
+        self._signer = LogSigner()
 
-    def push(self, shard: int, items: List[Sequence]) -> None:
+    def push(self, shard: int, items: List[Tuple[int, Action, bytes]]) -> None:
         """Add freshly decoded frames from one shard (in file order)."""
         queue = self._queues[shard]
         last = self._last_pushed[shard]
@@ -88,23 +87,13 @@ class StreamMerger:
                 break
             ready.append(queues[hit].popleft())
             self.next_seq += 1
-        if ready and self._signer is not None:
-            self._sign(ready)
+        if ready:
+            self._signer.add([item[2] for item in ready])
         return [item[1] for item in ready]
 
-    def _sign(self, items: List[Sequence]) -> None:
-        try:
-            payloads = [payload for _seq, _action, payload in items]
-        except ValueError:  # a bare (seq, action) pair: nothing to hash
-            self._signer = None
-            return
-        self._signer.add(payloads)
-
-    def signature(self) -> Optional[str]:
+    def signature(self) -> str:
         """``log_signature`` of every record emitted so far, hashed from
-        their frame payloads; None when one was pushed without its payload."""
-        if self._signer is None:
-            return None
+        their frame payloads."""
         return self._signer.hexdigest()
 
     @property

@@ -21,9 +21,11 @@ programs:
          --mode view
    $ python -m repro.tools.cli check torn.vyrdlog --program multiset-vector \\
          --recover
+   $ python -m repro.tools.cli check run.vyrdlog --program multiset-vector \\
+         --mode linz --json
    $ python -m repro.tools.cli faults --program multiset-vector --seed 7 \\
          --jobs 2 --json
-   $ python -m repro.tools.cli profile blinktree --seed 3 \\
+   $ python -m repro.tools.cli run --program blinktree --seed 3 --metrics \\
          --trace-out blinktree.trace.json
    $ python -m repro.tools.cli races run.vyrdlog --detector hb
    $ python -m repro.tools.cli trace run.vyrdlog --max-rows 40
@@ -50,15 +52,19 @@ sleep-set reduction over the static matrix (``--reduce static``) --
 optionally fanned out across worker
 processes (``--jobs``, :mod:`repro.concurrency.explore`); ``check`` rebuilds the
 program's spec/view/invariants from the registry and
-replays the saved log offline (``--recover`` salvages damaged logs first);
-``faults`` runs a seeded fault-injection campaign
+replays the saved log offline (``--recover`` salvages damaged logs first;
+``--mode linz`` searches the log's call/return history for a
+linearization, ``--mode both`` cross-validates that search with I/O
+refinement); ``faults`` runs a seeded fault-injection campaign
 (:mod:`repro.faults`) and verifies recovery; ``races`` runs the dynamic race detectors
 over any saved log recorded with synchronization events (``run --races``
 records them); ``trace``/``witness`` render Fig. 3/6-style diagrams from
-any saved log; ``profile`` runs one workload with the observability layer
-(:mod:`repro.obs`) fully on and prints where checker time went --
-``run``/``explore``/``faults`` accept ``--metrics``/``--trace-out`` for the
-same instrumentation on their own workflows.
+any saved log.  ``run``/``explore``/``faults``/``serve`` accept
+``--metrics``/``--trace-out`` to record their workflow with the
+observability layer (:mod:`repro.obs`) and report where the time went.
+
+``--mode io`` means one thing in every command: I/O refinement alone, with
+neither the view nor the invariants, over a log written at io level.
 """
 
 from __future__ import annotations
@@ -89,7 +95,7 @@ from ..harness import PROGRAMS, explore_program, run_program
 
 
 def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
-    """The shared observability flags (``run``/``explore``/``faults``)."""
+    """The shared observability flags (``run``/``explore``/``faults``/``serve``)."""
     parser.add_argument("--metrics", action="store_true",
                         help="record pipeline metrics (repro.obs) and report "
                              "them (tables, or under 'metrics' with --json)")
@@ -276,6 +282,10 @@ def _build_parser() -> argparse.ArgumentParser:
              "expected divergence)")
     check_parser.add_argument("--all", action="store_true",
                               help="collect all violations, not just the first")
+    check_parser.add_argument("--max-nodes", type=int, default=2_000_000,
+                              help="linz/both: search-node budget; exceeding "
+                                   "it is a hard error (exit 2), not a "
+                                   "verdict")
     check_parser.add_argument("--recover", action="store_true",
                               help="salvage the longest valid prefix of a "
                                    "truncated/corrupt log and check that; "
@@ -298,44 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "check falls back to record zero")
     check_parser.add_argument("--json", action="store_true",
                               help="emit the outcome as JSON")
-
-    linz_parser = sub.add_parser(
-        "linz",
-        help="annotation-free linearizability check: search a saved log's "
-             "call/return history (or run a registry workload and search "
-             "its log) for a valid linearization against the atomic spec; "
-             "needs no commit annotations, so it works on any log level",
-    )
-    linz_parser.add_argument(
-        "target",
-        help="a registry program name (runs the workload, then checks), or "
-             "a log file written by `run --save` (requires --program)")
-    linz_parser.add_argument("--program", choices=sorted(PROGRAMS),
-                             help="registry program supplying the spec when "
-                                  "TARGET is a log file")
-    linz_parser.add_argument("--variant", default="default",
-                             help="linearizability spec variant "
-                                  "(see `check --variant`)")
-    linz_parser.add_argument("--buggy", action="store_true",
-                             help="program target: enable the seeded bug")
-    linz_parser.add_argument("--threads", type=int, default=4,
-                             help="program target: worker threads")
-    linz_parser.add_argument("--calls", type=int, default=20,
-                             help="program target: method calls per thread")
-    linz_parser.add_argument("--seed", type=int, default=0,
-                             help="program target: scheduler seed")
-    linz_parser.add_argument("--no-memo", action="store_true",
-                             help="disable failed-state memoization "
-                                  "(the benchmark ablation; can be "
-                                  "exponentially slower)")
-    linz_parser.add_argument("--max-nodes", type=int, default=2_000_000,
-                             help="search-node budget; exceeding it is a "
-                                  "hard error (exit 2), not a verdict")
-    linz_parser.add_argument("--recover", action="store_true",
-                             help="log target: salvage the longest valid "
-                                  "prefix of a damaged log first")
-    linz_parser.add_argument("--json", action="store_true",
-                             help="emit the verdict as JSON")
 
     faults_parser = sub.add_parser(
         "faults",
@@ -365,30 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_obs_arguments(faults_parser)
     faults_parser.add_argument("--json", action="store_true",
                                help="emit the campaign report as JSON")
-
-    profile_parser = sub.add_parser(
-        "profile",
-        help="run one workload with full observability and report where "
-             "pipeline time went (phase wall-clock, action counts, "
-             "histograms); --trace-out exports a Perfetto-loadable trace",
-    )
-    profile_parser.add_argument("program", choices=sorted(PROGRAMS))
-    profile_parser.add_argument("--buggy", action="store_true",
-                                help="enable the program's seeded bug")
-    profile_parser.add_argument("--threads", type=int, default=4)
-    profile_parser.add_argument("--calls", type=int, default=40,
-                                help="method calls per thread")
-    profile_parser.add_argument("--seed", type=int, default=0)
-    profile_parser.add_argument("--mode", choices=("io", "view"),
-                                default="view")
-    profile_parser.add_argument("--online", action="store_true",
-                                help="profile the online verification thread "
-                                     "instead of the offline check")
-    profile_parser.add_argument("--trace-out", metavar="PATH",
-                                help="write the Chrome trace-event JSON "
-                                     "(chrome://tracing / Perfetto) to PATH")
-    profile_parser.add_argument("--json", action="store_true",
-                                help="emit the metrics as JSON")
 
     races_parser = sub.add_parser(
         "races", help="run dynamic race detection on a saved log"
@@ -455,9 +403,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--queue-records", type=int, default=4096,
                               help="daemon queue bound; producers are "
                                    "backpressured when checkers lag")
-    serve_parser.add_argument("--checker-delay", type=float, default=0.0,
-                              help="artificial per-batch checker stall "
-                                   "(seconds) to exercise backpressure")
     serve_parser.add_argument("--supervise", action="store_true",
                               help="run each producer under the salvage-"
                                    "and-restart supervisor")
@@ -884,7 +829,8 @@ def _resumed_checker(plan, args):
 def _cmd_check(args) -> int:
     mode = "view" if args.mode == "refinement" else args.mode
     plan = CheckPlan.for_program(
-        args.program, mode, variant=args.variant, stop_at_first=not args.all
+        args.program, mode, variant=args.variant, stop_at_first=not args.all,
+        max_nodes=args.max_nodes,
     )
     try:
         log, recovered = _read_log(args.log, args.recover)
@@ -960,47 +906,6 @@ def _cmd_check(args) -> int:
         print(format_outcome(outcome.refinement,
                              title=f"{mode} refinement of {args.log}"))
     return 0 if ok else failure
-
-
-def _cmd_linz(args) -> int:
-    """``vyrd linz <program|logfile>``."""
-    if args.target in PROGRAMS:
-        program = args.target
-        source = f"{args.target} (seed {args.seed})"
-    elif args.program is None:
-        print("error: checking a log file requires --program", file=sys.stderr)
-        return 2
-    else:
-        program = args.program
-        source = args.target
-    plan = CheckPlan.for_program(
-        program, "linz", variant=args.variant, memo=not args.no_memo,
-        max_nodes=args.max_nodes,
-    )
-    try:
-        if args.target in PROGRAMS:
-            log = run_program(
-                args.target,
-                buggy=args.buggy,
-                num_threads=args.threads,
-                calls_per_thread=args.calls,
-                seed=args.seed,
-            ).log
-        else:
-            log = _read_log(args.target, args.recover)[0]
-        outcome = plan.check(log).linz
-    except CHECK_ERRORS as exc:
-        return _problem(args, exc)
-    if args.json:
-        payload = outcome.to_dict()
-        payload["program"] = program
-        payload["variant"] = args.variant
-        _emit_json(payload, log)
-    else:
-        print(f"linearizability of {source}: {outcome.summary()}")
-        if not outcome.ok:
-            print(f"  problem: {outcome.first_violation}")
-    return 0 if outcome.ok else 2
 
 
 def _cmd_races(args) -> int:
@@ -1126,58 +1031,6 @@ def _cmd_faults(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_profile(args) -> int:
-    from ..obs import MetricsRecorder, format_metrics, write_trace
-
-    recorder = MetricsRecorder()
-    result = run_program(
-        args.program,
-        buggy=args.buggy,
-        num_threads=args.threads,
-        calls_per_thread=args.calls,
-        seed=args.seed,
-        mode=args.mode,
-        online=args.online,
-        obs=recorder,
-    )
-    outcome = (
-        result.online_outcome if args.online else result.vyrd.check_offline()
-    )
-    if args.trace_out:
-        write_trace(recorder, args.trace_out)
-    if args.json:
-        payload = {
-            "ok": outcome.ok,
-            "program": args.program,
-            "variant": "buggy" if args.buggy else "correct",
-            "seed": args.seed,
-            "threads": args.threads,
-            "calls": args.calls,
-            "mode": args.mode,
-            "online": args.online,
-            "records": len(result.log),
-            "refinement": outcome.to_dict(),
-            "metrics": recorder.to_dict(),
-        }
-        if args.trace_out:
-            payload["trace"] = args.trace_out
-        print(json.dumps(payload, indent=2))
-        return 0 if outcome.ok else 1
-    check = "online" if args.online else "offline"
-    print(
-        f"profiled {args.program} "
-        f"({'buggy' if args.buggy else 'correct'}, {check} {args.mode} "
-        f"check), {args.threads} threads x {args.calls} calls, seed "
-        f"{args.seed}: {len(result.log)} log records, "
-        f"{'no violation' if outcome.ok else 'VIOLATION'}"
-    )
-    print()
-    print(format_metrics(recorder, title=f"{args.program} profile"))
-    if args.trace_out:
-        print(f"trace written to {args.trace_out}")
-    return 0 if outcome.ok else 1
-
-
 def _cmd_serve(args) -> int:
     import tempfile
 
@@ -1206,7 +1059,6 @@ def _cmd_serve(args) -> int:
         sync=args.sync,
         batch_records=args.batch_records,
         queue_records=args.queue_records,
-        checker_delay=args.checker_delay,
         timeout=args.timeout,
         run_kwargs=run_kwargs,
         supervise=args.supervise,
@@ -1433,9 +1285,7 @@ _COMMANDS = {
     "run": _cmd_run,
     "explore": _cmd_explore,
     "check": _cmd_check,
-    "linz": _cmd_linz,
     "faults": _cmd_faults,
-    "profile": _cmd_profile,
     "races": _cmd_races,
     "trace": _cmd_trace,
     "witness": _cmd_witness,

@@ -176,10 +176,10 @@ def test_version_one_checkpoint_is_rejected_and_check_falls_back(tmp_path, capsy
     assert fallback == straight
 
 
-def test_version_two_checkpoint_is_rejected_and_check_falls_back(tmp_path, capsys):
-    """Format 3 holds one entry per checker of the plan.  A version-2 blob
-    (a refinement checker's payload alone) is refused with the typed error
-    and ``check --resume`` falls back to record zero."""
+def _assert_older_version_is_rejected(version, tmp_path, capsys):
+    """A blob of an older format ``version`` is refused with the typed
+    error, and ``check --resume`` falls back to record zero with the
+    straight verdict."""
     log_path = str(tmp_path / "mv.vlog")
     ckpt = tmp_path / "mv.vyrdckpt"
     main(["run", "--program", "multiset-vector", "--threads", "3",
@@ -189,37 +189,32 @@ def test_version_two_checkpoint_is_rejected_and_check_falls_back(tmp_path, capsy
     assert main([*check, "--checkpoint", str(ckpt)]) == 0
     straight = json.loads(capsys.readouterr().out)
     ckpt.write_bytes(ckpt.read_bytes().replace(
-        f'"version": {FORMAT_VERSION}'.encode(), b'"version": 2'
+        f'"version": {FORMAT_VERSION}'.encode(), f'"version": {version}'.encode()
     ))
-    assert main([*check, "--resume", str(ckpt)]) == 0
-    fallback = json.loads(capsys.readouterr().out)
-    resume = fallback.pop("resume")
-    assert resume["resume_seq"] == 0 and "version" in resume["rejected"]
-    assert fallback == straight
-
-
-def test_version_three_checkpoint_is_rejected_and_check_falls_back(tmp_path, capsys):
-    """Format 4 changed the race detectors' pickled state.  A version-3
-    blob is refused with the typed error and ``check --resume`` falls back
-    to record zero."""
-    log_path = str(tmp_path / "mv.vlog")
-    ckpt = tmp_path / "mv.vyrdckpt"
-    main(["run", "--program", "multiset-vector", "--threads", "3",
-          "--calls", "10", "--seed", "2", "--save", log_path])
-    capsys.readouterr()
-    check = ["check", log_path, "--program", "multiset-vector", "--json"]
-    assert main([*check, "--checkpoint", str(ckpt)]) == 0
-    straight = json.loads(capsys.readouterr().out)
-    ckpt.write_bytes(ckpt.read_bytes().replace(
-        f'"version": {FORMAT_VERSION}'.encode(), b'"version": 3'
-    ))
-    with pytest.raises(CheckpointError, match="version 3"):
+    with pytest.raises(CheckpointError, match=f"version {version}"):
         Checkpoint.load(str(ckpt))
     assert main([*check, "--resume", str(ckpt)]) == 0
     fallback = json.loads(capsys.readouterr().out)
     resume = fallback.pop("resume")
     assert resume["resume_seq"] == 0 and "version" in resume["rejected"]
     assert fallback == straight
+
+
+def test_version_two_checkpoint_is_rejected_and_check_falls_back(tmp_path, capsys):
+    """Format 3 holds one entry per checker of the plan; a version-2 blob
+    holds a refinement checker's payload alone."""
+    _assert_older_version_is_rejected(2, tmp_path, capsys)
+
+
+def test_version_three_checkpoint_is_rejected_and_check_falls_back(tmp_path, capsys):
+    """Format 4 changed the race detectors' pickled state."""
+    _assert_older_version_is_rejected(3, tmp_path, capsys)
+
+
+def test_version_four_checkpoint_is_rejected_and_check_falls_back(tmp_path, capsys):
+    """Format 5 dropped ``final_full_check`` from the refinement checker's
+    configuration fingerprint."""
+    _assert_older_version_is_rejected(4, tmp_path, capsys)
 
 
 def test_race_checkpoint_between_the_two_sites_of_a_race():

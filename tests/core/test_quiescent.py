@@ -98,7 +98,7 @@ def test_no_quiescent_point_means_no_state_check_until_finish():
     log = _lost_write_log(extra_overlapping=True)
     checker = RefinementChecker(
         RegisterSpec(), mode="view", impl_view=register_view(),
-        view_at="quiescent", final_full_check=False,
+        view_at="quiescent",
     )
     checker.feed(log)
     outcome = checker.finish()

@@ -1,5 +1,7 @@
 """Checker semantics on handcrafted logs (no simulator involved)."""
 
+import pytest
+
 from repro.core import (
     AnyOf,
     BeginCommitBlockAction,
@@ -16,6 +18,7 @@ from repro.core import (
     SpecReject,
     Specification,
     ViolationKind,
+    Vyrd,
     WriteAction,
     check_log,
     mutator,
@@ -280,9 +283,26 @@ def test_invariant_failure_detected_at_commit():
         CommitAction(0, 0),
         ReturnAction(0, 0, "set", True),
     ])
-    outcome = check_log(log, RegisterSpec(), mode="io", invariants=[invariant])
+    outcome = check_log(log, RegisterSpec(), mode="view", impl_view=register_view(),
+                        invariants=[invariant])
     assert not outcome.ok
     assert outcome.first_violation.kind is ViolationKind.INVARIANT
+
+
+def test_io_mode_refuses_invariants():
+    """Invariants read the replayed state, which io mode does not keep:
+    every way to ask for them in io mode is refused, not dropped."""
+    invariant = Invariant("any", lambda state, spec: True)
+    with pytest.raises(ValueError, match="io mode checks no invariants"):
+        RefinementChecker(RegisterSpec(), mode="io", invariants=[invariant])
+    with pytest.raises(ValueError, match="io mode checks no invariants"):
+        check_log(Log([]), RegisterSpec(), mode="io", invariants=[invariant])
+    with pytest.raises(ValueError, match="io mode checks no invariants"):
+        Vyrd(spec_factory=RegisterSpec, invariants=[invariant])
+    session = Vyrd(spec_factory=RegisterSpec, mode="view",
+                   impl_view_factory=register_view, invariants=[invariant])
+    io = session.plan.in_mode("io")
+    assert io.invariants == () and io.log_flags["log_level"] == "io"
 
 
 def test_incremental_feed_equals_offline():

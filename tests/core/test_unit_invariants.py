@@ -7,6 +7,7 @@ import pytest
 from repro.core import (
     CallAction,
     CommitAction,
+    FunctionView,
     Invariant,
     Log,
     ReturnAction,
@@ -16,6 +17,21 @@ from repro.core import (
 )
 
 from test_refinement_unit import RegisterSpec
+
+
+class CellsSpec(RegisterSpec):
+    """The register with an empty view: these logs exercise invariants, and
+    an empty view on both sides keeps view refinement out of the verdict."""
+
+    def view(self):
+        return {}
+
+
+def _check(log, invariant):
+    return check_log(
+        log, CellsSpec(), mode="view", impl_view=FunctionView(lambda state: {}),
+        invariants=[invariant], stop_at_first=False,
+    )
 
 
 def _all_cells_nonnegative(state, spec):
@@ -65,10 +81,7 @@ def test_unit_form_comes_as_a_pair():
 
 def test_broken_unit_is_reported_at_every_later_check():
     log = Log(_set(0, ("cell[1]", -1)) + _set(1, ("cell[2]", 5)) + _set(2))
-    outcome = check_log(
-        log, RegisterSpec(), mode="io",
-        invariants=[_cells_invariant(_every_cell)], stop_at_first=False,
-    )
+    outcome = _check(log, _cells_invariant(_every_cell))
     assert [(v.kind, v.seq) for v in outcome.violations] == [
         (ViolationKind.INVARIANT, 2),
         (ViolationKind.INVARIANT, 6),
@@ -82,10 +95,7 @@ def test_unit_map_missing_a_read_location_is_instrumentation_at_finish():
     per-unit form misses the break, and the full check at ``finish()``
     reports the gap as INSTRUMENTATION, never as INVARIANT."""
     log = Log(_set(0, ("cell[1]", -1)) + _set(1, ("cell[0]", 3)))
-    outcome = check_log(
-        log, RegisterSpec(), mode="io",
-        invariants=[_cells_invariant(_only_cell_zero)], stop_at_first=False,
-    )
+    outcome = _check(log, _cells_invariant(_only_cell_zero))
     assert [(v.kind, v.seq) for v in outcome.violations] == [
         (ViolationKind.INSTRUMENTATION, len(log)),
     ]
@@ -95,10 +105,7 @@ def test_unit_map_missing_a_read_location_is_instrumentation_at_finish():
 
 def test_complete_unit_map_has_no_drift():
     log = Log(_set(0, ("cell[1]", -1)) + _set(1, ("cell[1]", 4)))
-    outcome = check_log(
-        log, RegisterSpec(), mode="io",
-        invariants=[_cells_invariant(_every_cell)], stop_at_first=False,
-    )
+    outcome = _check(log, _cells_invariant(_every_cell))
     # broken at the first commit, repaired at the second: nothing at finish
     assert [(v.kind, v.seq) for v in outcome.violations] == [
         (ViolationKind.INVARIANT, 2),

@@ -5,7 +5,13 @@ import pickle
 
 import pytest
 
-from repro.core import CallAction, ReplayAction, WriteAction, verify_chain
+from repro.core import (
+    CallAction,
+    ReplayAction,
+    WriteAction,
+    log_signature,
+    verify_chain,
+)
 from repro.serve import (
     MergeError,
     ObjectStoreStub,
@@ -29,6 +35,14 @@ def spool(store, session, records, num_shards, **kw):
     for seq, action in enumerate(records):
         shards.append(seq, action)
     return shards.close()
+
+
+def frames(pairs):
+    """``(seq, action, payload)`` items, the shape a tail yields."""
+    return [
+        (seq, action, pickle.dumps(action, pickle.HIGHEST_PROTOCOL))
+        for seq, action in pairs
+    ]
 
 
 def drain(store, session, num_shards):
@@ -110,8 +124,8 @@ def test_manifest_heads_match_shard_files():
 def test_merger_flags_duplicate_sequence():
     merger = StreamMerger(2)
     a = actions(3)
-    merger.push(0, [(0, a[0]), (1, a[1])])
-    merger.push(1, [(1, a[2])])  # seq 1 claimed by both shards
+    merger.push(0, frames([(0, a[0]), (1, a[1])]))
+    merger.push(1, frames([(1, a[2])]))  # seq 1 claimed by both shards
     with pytest.raises(MergeError):
         merger.pop_ready()
 
@@ -120,18 +134,19 @@ def test_merger_flags_regressed_sequence_within_shard():
     merger = StreamMerger(1)
     a = actions(2)
     with pytest.raises(MergeError):
-        merger.push(0, [(1, a[0]), (0, a[1])])
+        merger.push(0, frames([(1, a[0]), (0, a[1])]))
 
 
 def test_merger_waits_on_gap():
     merger = StreamMerger(2)
     a = actions(4)
-    merger.push(0, [(0, a[0]), (3, a[3])])
+    merger.push(0, frames([(0, a[0]), (3, a[3])]))
     assert merger.pop_ready() == [a[0]]
     assert merger.gap() == 1
-    merger.push(1, [(1, a[1]), (2, a[2])])
+    merger.push(1, frames([(1, a[1]), (2, a[2])]))
     assert merger.pop_ready() == [a[1], a[2], a[3]]
     assert merger.gap() is None
+    assert merger.signature() == log_signature(a)
 
 
 def test_teelog_appends_to_log_and_shards():
@@ -178,3 +193,4 @@ def test_tail_split_at_every_offset_keeps_payloads_and_audit():
         assert [action for _seq, action, _payload in got] == records
         assert [payload for _seq, _action, payload in got] == payloads
         assert tail.audit(io.BytesIO(body), head) == expected
+

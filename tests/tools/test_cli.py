@@ -544,16 +544,17 @@ def test_run_lint_preflight_blocks_broken_program(monkeypatch, capsys):
     assert rules == {"VY001", "VY002"}
 
 
-# -- observability: the profile subcommand and --metrics/--trace-out ----------
+# -- observability: a profile is taken with --metrics/--trace-out -------------
 
 
 def test_profile_human_output_reports_phases(capsys):
     code = main([
-        "profile", "multiset-vector", "--threads", "2", "--calls", "4",
+        "run", "--program", "multiset-vector", "--threads", "2",
+        "--calls", "4", "--metrics",
     ])
     out = capsys.readouterr().out
     assert code == 0
-    assert "profiled multiset-vector" in out and "no violation" in out
+    assert "ran multiset-vector (correct)" in out and "PASS" in out
     assert "wall-clock by phase" in out
     assert "kernel.run" in out and "checker.feed" in out
     assert "log.actions" in out  # counters table
@@ -567,8 +568,8 @@ def test_profile_json_round_trips_the_same_metrics(capsys):
     from repro.obs import MetricsRecorder
 
     code = main([
-        "profile", "multiset-vector", "--threads", "2", "--calls", "4",
-        "--seed", "5", "--json",
+        "run", "--program", "multiset-vector", "--threads", "2",
+        "--calls", "4", "--seed", "5", "--metrics", "--json",
     ])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
@@ -593,8 +594,8 @@ def test_profile_trace_out_is_loadable(tmp_path, capsys):
 
     trace_path = str(tmp_path / "prof.trace.json")
     code = main([
-        "profile", "multiset-vector", "--threads", "2", "--calls", "4",
-        "--trace-out", trace_path,
+        "run", "--program", "multiset-vector", "--threads", "2",
+        "--calls", "4", "--trace-out", trace_path,
     ])
     out = capsys.readouterr().out
     assert code == 0
@@ -606,15 +607,26 @@ def test_profile_online_buggy_exits_one(capsys):
     # any detecting seed works; search like the other buggy-run tests
     for seed in range(20):
         code = main([
-            "profile", "multiset-vector", "--buggy", "--threads", "4",
-            "--calls", "30", "--seed", str(seed), "--online",
+            "run", "--program", "multiset-vector", "--buggy", "--threads",
+            "4", "--calls", "30", "--seed", str(seed), "--online",
+            "--metrics",
         ])
         out = capsys.readouterr().out
         if code == 1:
-            assert "VIOLATION" in out
+            assert "FAIL" in out
             assert "verifier.consume" in out  # online spans attributed
             return
-    pytest.fail("no seed triggered the bug under profile --online")
+    pytest.fail("no seed triggered the bug under run --online --metrics")
+
+
+def test_linz_and_profile_are_not_subcommands(capsys):
+    """``check --mode linz`` and ``run --metrics`` are the one path for
+    each job; the old subcommand names are usage errors."""
+    for argv in (["linz", "java-vector"], ["profile", "blinktree"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_run_metrics_flag_json_and_trace(tmp_path, capsys):
@@ -911,7 +923,6 @@ def test_bad_log_input_is_a_typed_problem_on_every_command(kind, tmp_path, capsy
     commands = [["races", path]]
     recovers = [()] if kind == "truncated-chained" else [(), ("--recover",)]
     for recover in recovers:
-        commands.append(["linz", path, "--program", "multiset-vector", *recover])
         for mode in ("io", "view", "linz", "both"):
             commands.append(["check", path, "--program", "multiset-vector",
                              "--mode", mode, *recover])
@@ -941,9 +952,9 @@ def test_bad_log_input_is_a_typed_problem_on_every_command(kind, tmp_path, capsy
 
 def test_log_without_a_history_is_a_typed_problem_for_linz(tmp_path, capsys):
     """A chain-valid log whose one record is a return with no call has no
-    linz history: ``linz`` and ``check --mode linz|both`` exit 2 with a
-    ``HistoryError`` problem, while the refinement modes and ``races``
-    keep their verdicts."""
+    linz history: ``check --mode linz|both`` exit 2 with a ``HistoryError``
+    problem, while the refinement modes and ``races`` keep their
+    verdicts."""
     import json
 
     from repro.core import Log, ReturnAction
@@ -952,8 +963,7 @@ def test_log_without_a_history_is_a_typed_problem_for_linz(tmp_path, capsys):
     path = str(tmp_path / "return-only.vlog")
     save_log(Log([ReturnAction(0, 0, "insert", 0)]), path)
     program = ["--program", "multiset-vector"]
-    for argv in (["linz", path, *program],
-                 ["check", path, *program, "--mode", "linz"],
+    for argv in (["check", path, *program, "--mode", "linz"],
                  ["check", path, *program, "--mode", "both"]):
         assert main([*argv, "--json"]) == 2, argv
         assert json.loads(capsys.readouterr().out)["error_type"] == "HistoryError"

@@ -1,5 +1,5 @@
-"""CLI surface of the linearizability checker: ``vyrd linz`` and
-``check --mode linz|refinement|both`` exit codes and ``--json`` schemas.
+"""CLI surface of the linearizability checker: ``check --mode
+linz|refinement|both`` exit codes and ``--json`` schemas.
 
 Exit-code contract (pinned here):
 
@@ -39,17 +39,28 @@ def _json_out(capsys):
     return json.loads(capsys.readouterr().out)
 
 
-def test_linz_subcommand_on_clean_program_exits_zero(capsys):
-    code = main(["linz", "java-vector", "--threads", "3", "--calls", "12",
-                 "--seed", "1"])
+def _saved(tmp_path, capsys, program, *flags, seed="1", calls="12"):
+    """``run --save`` a workload (3 threads); the saved log's path."""
+    log_path = str(tmp_path / f"{program}.vyrdlog")
+    main(["run", "--program", program, *flags, "--threads", "3",
+          "--calls", calls, "--seed", seed, "--save", log_path])
+    capsys.readouterr()
+    return log_path
+
+
+def test_check_mode_linz_on_clean_program_exits_zero(tmp_path, capsys):
+    log_path = _saved(tmp_path, capsys, "java-vector")
+    code = main(["check", log_path, "--program", "java-vector",
+                 "--mode", "linz"])
     out = capsys.readouterr().out
     assert code == 0
     assert "linearizable" in out
 
 
-def test_linz_subcommand_on_seeded_bug_exits_two(capsys):
-    code = main(["linz", "java-vector", "--buggy", "--threads", "3",
-                 "--calls", "12", "--seed", "7", "--json"])
+def test_check_mode_linz_on_seeded_bug_exits_two(tmp_path, capsys):
+    log_path = _saved(tmp_path, capsys, "java-vector", "--buggy", seed="7")
+    code = main(["check", log_path, "--program", "java-vector",
+                 "--mode", "linz", "--json"])
     payload = _json_out(capsys)
     assert code == 2
     assert payload["ok"] is False
@@ -58,12 +69,10 @@ def test_linz_subcommand_on_seeded_bug_exits_two(capsys):
     assert "no linearization explains" in payload["violations"][0]["message"]
 
 
-def test_linz_subcommand_on_log_file(tmp_path, capsys):
-    log_path = str(tmp_path / "run.vyrdlog")
-    assert main(["run", "--program", "stringbuffer", "--threads", "3",
-                 "--calls", "12", "--seed", "4", "--save", log_path]) == 0
-    capsys.readouterr()
-    code = main(["linz", log_path, "--program", "stringbuffer", "--json"])
+def test_check_mode_linz_json_on_a_clean_log(tmp_path, capsys):
+    log_path = _saved(tmp_path, capsys, "stringbuffer", seed="4")
+    code = main(["check", log_path, "--program", "stringbuffer",
+                 "--mode", "linz", "--json"])
     payload = _json_out(capsys)
     assert code == 0
     assert payload["ok"] is True
@@ -74,22 +83,26 @@ def test_linz_subcommand_on_log_file(tmp_path, capsys):
 def test_linz_log_file_requires_program(tmp_path, capsys):
     path = tmp_path / "x.vyrdlog"
     path.write_bytes(b"")
-    assert main(["linz", str(path)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(path), "--mode", "linz"])
+    assert exc.value.code == 2
     assert "--program" in capsys.readouterr().err
 
 
 def test_linz_unreadable_log_is_typed_error(tmp_path, capsys):
     path = tmp_path / "garbage.vyrdlog"
     path.write_bytes(b"not a log at all")
-    code = main(["linz", str(path), "--program", "java-vector", "--json"])
+    code = main(["check", str(path), "--program", "java-vector",
+                 "--mode", "linz", "--json"])
     payload = _json_out(capsys)
     assert code == 2
     assert payload["error_type"] == "LogFormatError"
 
 
-def test_linz_blown_budget_is_typed_error_not_verdict(capsys):
-    code = main(["linz", "java-vector", "--threads", "3", "--calls", "12",
-                 "--seed", "1", "--max-nodes", "1", "--no-memo", "--json"])
+def test_linz_blown_budget_is_typed_error_not_verdict(tmp_path, capsys):
+    log_path = _saved(tmp_path, capsys, "java-vector")
+    code = main(["check", log_path, "--program", "java-vector",
+                 "--mode", "linz", "--max-nodes", "1", "--json"])
     payload = _json_out(capsys)
     assert code == 2
     assert payload["error_type"] == "SearchBudgetExceeded"

@@ -7,10 +7,9 @@ exit code and the SHA-256 of ``json.dumps(payload, sort_keys=True)`` of:
 
 * ``run --races --json`` (with the ``saved`` path dropped);
 * ``check --mode io|view|linz|both --all --json`` on the saved log;
-* ``linz --json`` and ``races --json`` on the saved log;
-* for the cache only, ``run --mode io --json`` (no log saved), which pins
-  that ``run`` evaluates the cache's invariants in io mode while
-  ``check --mode io`` does not.
+* ``races --json`` on the saved log;
+* for the cache only, ``run --mode io --json`` (no log saved): I/O
+  refinement alone, over a log written at io level.
 
 No digest covers pickle bytes, so the corpus holds under any hash seed.
 Regenerate the data file (only when a verdict is meant to change) with::
@@ -30,7 +29,7 @@ import tempfile
 
 import pytest
 
-from repro.harness import PROGRAMS
+from repro.harness import PROGRAMS, run_program
 from repro.tools.cli import main
 
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -39,12 +38,17 @@ SEEDS = (0, 1, 2)
 SHAPE = ("--threads", "3", "--calls", "6")
 
 
-def _verdict(argv, drop=()):
+def _json(argv):
+    """``main(argv)``'s exit code and its ``--json`` payload."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    payload = json.loads(out.getvalue())
+    return code, json.loads(out.getvalue())
+
+
+def _verdict(argv, drop=()):
+    code, payload = _json(argv)
     for key in drop:
         payload.pop(key, None)
     digest = hashlib.sha256(
@@ -72,9 +76,6 @@ def program_verdicts(program: str, workdir: str) -> dict:
                     ["check", path, "--program", program, "--mode", mode,
                      "--all", "--json"]
                 )
-            entries[f"{key}/linz"] = _verdict(
-                ["linz", path, "--program", program, "--json"]
-            )
             entries[f"{key}/races"] = _verdict(["races", path, "--json"])
             if program == "cache":
                 entries[f"{key}/run-io"] = _verdict(
@@ -90,30 +91,37 @@ def test_verdicts_match_the_golden_corpus(program, tmp_path):
     assert program_verdicts(program, str(tmp_path)) == golden
 
 
-def test_io_split_is_pinned(tmp_path):
-    """``run --mode io`` checks the cache's invariants; ``check --mode io``
-    of the same log does not.  Both verdicts stay until one meaning is
-    chosen (docs/ARCHITECTURE.md section 3)."""
-    path = str(tmp_path / "cache.vlog")
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["run", "--program", "cache", "--mode", "io", "--buggy",
-                     "--seed", "1", "--threads", "4", "--calls", "30",
-                     "--save", path, "--json"])
-    violations = json.loads(out.getvalue())["refinement"]["violations"]
-    assert code == 1
-    assert violations[0]["kind"] == "invariant"
-    assert "cache.clean-matches-chunk" in violations[0]["message"]
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["check", path, "--program", "cache", "--mode", "io",
-                     "--json"]) == 0
+def test_run_and_check_agree_in_io_mode(tmp_path):
+    """``--mode io`` is I/O refinement alone in every command: on every
+    registry program, correct and buggy, ``run --mode io --save`` and
+    ``check --mode io`` of the saved log give the same verdict.  An io
+    session carries neither the view nor the invariants and logs at io
+    level (docs/ARCHITECTURE.md section 3)."""
+    for program in sorted(PROGRAMS):
+        for flags in ([], ["--buggy"]):
+            path = str(tmp_path / f"{program}{''.join(flags)}.vlog")
+            ran, run = _json(["run", "--program", program, *flags,
+                              "--mode", "io", "--seed", "1", "--threads", "4",
+                              "--calls", "30", "--save", path, "--json"])
+            checked, check = _json(["check", path, "--program", program,
+                                    "--mode", "io", "--json"])
+            for key in ("well_formed", "well_formedness_problems"):
+                assert check.pop(key) == run[key], (program, flags)
+            assert run["refinement"] == check, (program, flags)
+            assert ran == checked, (program, flags)
+    session = run_program("cache", mode="io", num_threads=2,
+                          calls_per_thread=2).vyrd
+    assert session.plan.invariants == () and session.plan.view_factory is None
+    assert session.tracer.level == "io"
+    view = run_program("cache", num_threads=2, calls_per_thread=2).vyrd
+    assert view.plan.invariants and view.tracer.level == "view"
 
 
 def test_corpus_covers_every_program_and_entry_point():
     with open(CORPUS) as handle:
         golden = json.load(handle)
     assert sorted(golden) == sorted(PROGRAMS)
-    assert sum(len(entries) for entries in golden.values()) == 8 * 2 * 3 * 7 + 6
+    assert sum(len(entries) for entries in golden.values()) == 8 * 2 * 3 * 6 + 6
 
 
 if __name__ == "__main__":
