@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -71,28 +70,46 @@ class Status(Enum):
 
 
 class Syscall:
-    """Base class for every request a simulated thread can yield."""
+    """Base class for every request a simulated thread can yield.
+
+    Reads, lock acquires and releases are nearly every kernel step, and
+    each builds a syscall, so every syscall type is a plain slotted class
+    with an ordinary ``__init__`` (a frozen dataclass costs two to three
+    and a half times as much to build).  Syscalls are immutable by
+    contract: nothing mutates, compares or hashes one.  The four that
+    carry no program object are shared constants (see :class:`ThreadCtx`).
+    The others are never cached on their cell, lock or condition: a
+    primitive holding a syscall that refers back to it is a reference
+    cycle, which would leave every run's program to the cyclic collector.
+    """
 
     __slots__ = ()
 
+    def __repr__(self) -> str:
+        names = [
+            name
+            for cls in reversed(type(self).__mro__)
+            for name in cls.__dict__.get("__slots__", ())
+        ]
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{type(self).__name__}({fields})"
 
-@dataclass(frozen=True)
+
 class Pass(Syscall):
     """A pure scheduling point with no effect (``ctx.checkpoint()``)."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class ReadSys(Syscall):
     """Read a :class:`SharedCell`; the cell's value is sent back."""
 
-    cell: Any
-
     __slots__ = ("cell",)
 
+    def __init__(self, cell: Any):
+        self.cell = cell
 
-@dataclass(frozen=True)
+
 class WriteSys(Syscall):
     """Write ``value`` into ``cell``.
 
@@ -101,81 +118,83 @@ class WriteSys(Syscall):
     *commit action* when it coincides with the decisive shared write.
     """
 
-    cell: Any
-    value: Any
-    commit: bool = False
+    __slots__ = ("cell", "value", "commit")
+
+    def __init__(self, cell: Any, value: Any, commit: bool = False):
+        self.cell = cell
+        self.value = value
+        self.commit = commit
 
 
-
-@dataclass(frozen=True)
 class AcquireSys(Syscall):
     """Acquire a reentrant :class:`~repro.concurrency.primitives.Lock`."""
 
-    lock: Any
-
     __slots__ = ("lock",)
 
+    def __init__(self, lock: Any):
+        self.lock = lock
 
-@dataclass(frozen=True)
+
 class ReleaseSys(Syscall):
     """Release a lock.  ``commit`` marks the release as the commit action."""
 
-    lock: Any
-    commit: bool = False
+    __slots__ = ("lock", "commit")
+
+    def __init__(self, lock: Any, commit: bool = False):
+        self.lock = lock
+        self.commit = commit
 
 
-
-@dataclass(frozen=True)
 class RWBeginReadSys(Syscall):
-    rwlock: Any
-
     __slots__ = ("rwlock",)
 
+    def __init__(self, rwlock: Any):
+        self.rwlock = rwlock
 
-@dataclass(frozen=True)
+
 class RWEndReadSys(Syscall):
-    rwlock: Any
-
     __slots__ = ("rwlock",)
 
+    def __init__(self, rwlock: Any):
+        self.rwlock = rwlock
 
-@dataclass(frozen=True)
+
 class RWBeginWriteSys(Syscall):
-    rwlock: Any
-
     __slots__ = ("rwlock",)
 
+    def __init__(self, rwlock: Any):
+        self.rwlock = rwlock
 
-@dataclass(frozen=True)
+
 class RWEndWriteSys(Syscall):
-    rwlock: Any
-    commit: bool = False
+    __slots__ = ("rwlock", "commit")
+
+    def __init__(self, rwlock: Any, commit: bool = False):
+        self.rwlock = rwlock
+        self.commit = commit
 
 
-
-@dataclass(frozen=True)
 class CommitSys(Syscall):
     """A standalone commit action (for paths with no decisive write)."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class BeginCommitBlockSys(Syscall):
     """Open the current method execution's commit block (paper section 5.2)."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class EndCommitBlockSys(Syscall):
     """Close the commit block; ``commit`` marks it as the commit action."""
 
-    commit: bool = False
+    __slots__ = ("commit",)
+
+    def __init__(self, commit: bool = False):
+        self.commit = commit
 
 
-
-@dataclass(frozen=True)
 class ReplaySys(Syscall):
     """Emit a coarse-grained, data-structure-specific log entry (section 6.2).
 
@@ -183,36 +202,48 @@ class ReplaySys(Syscall):
     ``payload`` is the (immutable) data it needs.
     """
 
-    tag: str
-    payload: Any
-    commit: bool = False
+    __slots__ = ("tag", "payload", "commit")
+
+    def __init__(self, tag: str, payload: Any, commit: bool = False):
+        self.tag = tag
+        self.payload = payload
+        self.commit = commit
 
 
-
-@dataclass(frozen=True)
 class JoinSys(Syscall):
     """Block until ``thread`` finishes; its return value is sent back."""
 
-    thread: "SimThread"
-
     __slots__ = ("thread",)
 
+    def __init__(self, thread: "SimThread"):
+        self.thread = thread
 
-@dataclass(frozen=True)
+
 class CondWaitSys(Syscall):
     """Atomically release the condition's lock and block until notified."""
 
-    cond: Any
-
     __slots__ = ("cond",)
 
+    def __init__(self, cond: Any):
+        self.cond = cond
 
-@dataclass(frozen=True)
+
 class CondNotifySys(Syscall):
     """Wake ``count`` waiters (-1 for all); the caller must hold the lock."""
 
-    cond: Any
-    count: int = 1
+    __slots__ = ("cond", "count")
+
+    def __init__(self, cond: Any, count: int = 1):
+        self.cond = cond
+        self.count = count
+
+
+# The syscalls that carry no program object: ``ThreadCtx`` hands out these.
+_PASS = Pass()
+_COMMIT = CommitSys()
+_BEGIN_BLOCK = BeginCommitBlockSys()
+_END_BLOCK = EndCommitBlockSys(False)
+_END_BLOCK_COMMIT = EndCommitBlockSys(True)
 
 
 # ---------------------------------------------------------------------------
@@ -329,17 +360,17 @@ class ThreadCtx:
 
     def checkpoint(self) -> Pass:
         """A pure preemption point: ``yield ctx.checkpoint()``."""
-        return Pass()
+        return _PASS
 
     def commit(self) -> CommitSys:
         """A standalone commit action: ``yield ctx.commit()``."""
-        return CommitSys()
+        return _COMMIT
 
     def begin_commit_block(self) -> BeginCommitBlockSys:
-        return BeginCommitBlockSys()
+        return _BEGIN_BLOCK
 
     def end_commit_block(self, commit: bool = False) -> EndCommitBlockSys:
-        return EndCommitBlockSys(commit)
+        return _END_BLOCK_COMMIT if commit else _END_BLOCK
 
     def replay(self, tag: str, payload, commit: bool = False) -> ReplaySys:
         """Emit a coarse-grained log entry (paper section 6.2)."""

@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import AbstractSet, Any, Callable, Dict, Hashable, Iterable, Optional
 
+from .view import UnitMemo
+
 
 @dataclass(frozen=True)
 class Invariant:
@@ -36,7 +38,9 @@ class Invariant:
 
     ``unit_of(loc)``
         the unit a written location belongs to, or ``None`` when the
-        invariant never reads that location;
+        invariant never reads that location.  It must be a pure function of
+        the location name: the checker calls it once per distinct location
+        and memoizes the answer (:class:`~repro.core.view.UnitMemo`);
     ``check_unit(state, spec, unit, locs)``
         evaluate one unit.  ``locs`` are the unit's locations the checker
         has seen written, so a unit check never scans the state.
@@ -75,7 +79,9 @@ class UnitInvariantState:
       units shadowed by open commit blocks at the last evaluation;
     * ``failing`` -- units whose last evaluation returned False;
     * ``locs`` -- unit -> the locations seen written (what ``check_unit``
-      receives).
+      receives);
+    * ``unit_of`` -- the invariant's ``unit_of``, memoized per location
+      (derived data: :meth:`state_dict` leaves it out).
 
     **Invariant:** for every unit outside ``dirty``, membership in
     ``failing`` is what ``check_unit`` would return now -- a unit's verdict
@@ -88,13 +94,13 @@ class UnitInvariantState:
 
     def __init__(self, invariant: Invariant):
         self.invariant = invariant
-        self.unit_of = invariant.unit_of
+        self.unit_of = UnitMemo(invariant.unit_of)
         self.dirty: set = set()
         self.failing: set = set()
         self.locs: Dict[Hashable, set] = {}
 
     def on_write(self, loc: str) -> None:
-        unit = self.unit_of(loc)
+        unit = self.unit_of[loc]
         if unit is not None:
             self.dirty.add(unit)
             locs = self.locs.get(unit)
@@ -112,7 +118,7 @@ class UnitInvariantState:
         for the next evaluation (``ContributionView.refresh``'s rule).
         """
         unit_of = self.unit_of
-        shadowed = {unit_of(loc) for loc in shadowed_locs}
+        shadowed = {unit_of[loc] for loc in shadowed_locs}
         shadowed.discard(None)
         todo = self.dirty | shadowed if shadowed else self.dirty
         check_unit = self.invariant.check_unit

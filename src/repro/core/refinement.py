@@ -64,7 +64,7 @@ from .actions import (
 from ..obs import NULL_RECORDER, Recorder
 from .checkpoint import Checkpoint, CheckpointError
 from .invariants import Invariant, UnitInvariantState
-from .log import Log
+from .log import Log, LogView
 from .observer import ObserverTracker
 from .replay import ReplayState
 from .spec import MUTATOR, OBSERVER, VIEW_ABSENT, SpecError, SpecReject, Specification
@@ -411,13 +411,49 @@ class RefinementChecker:
             self._ingest(actions)
 
     def _ingest(self, actions: Iterable[Action]) -> None:
+        """Register the feed's returns, then process each record straight
+        from the feed.  Only a mutator's commit whose return has not been
+        fed yet waits: it and every later record park in the lookahead
+        buffer, which :meth:`_drain` empties once the return arrives."""
+        if not isinstance(actions, (list, tuple, Log, LogView)):
+            actions = list(actions)  # one-shot iterable: two passes below
+        returns = self._returns
         for action in actions:
-            seq = self._next_seq
-            self._next_seq += 1
             if isinstance(action, ReturnAction):
-                self._returns[action.op_id] = action
-            self._buffer.append((seq, action))
-        self._drain()
+                returns[action.op_id] = action
+        start = self._next_seq
+        self._next_seq = start + len(actions)
+        buffer = self._buffer
+        if buffer:
+            self._drain()  # the returns just registered may release it
+        if buffer or self._stopped:
+            buffer.extend(zip(itertools.count(start), actions))
+            return
+        process_of = _PROCESS.get
+        commit = RefinementChecker._process_commit
+        seq = taken = start
+        try:
+            for action in actions:
+                process = process_of(type(action))
+                if process is None:
+                    process = subclass_entry(
+                        _PROCESS, action, RefinementChecker._process_unknown
+                    )
+                if process is commit and self._awaits_return(action):
+                    break
+                taken += 1
+                process(self, seq, action)
+                seq += 1
+                if self._stopped:
+                    break
+        finally:
+            # ``seq - start`` records were processed; the rest of the feed
+            # (past a handler that raised, too) parks in order
+            self.outcome.actions_processed += seq - start
+            if taken < self._next_seq:
+                buffer.extend(
+                    zip(itertools.count(taken), actions[taken - start:])
+                )
 
     @property
     def stopped(self) -> bool:
@@ -427,6 +463,7 @@ class RefinementChecker:
     # -- draining -----------------------------------------------------------------
 
     def _drain(self) -> None:
+        """Process parked records until a commit still waits for its return."""
         buffer = self._buffer
         while buffer and not self._stopped:
             seq, action = buffer[0]
@@ -436,18 +473,19 @@ class RefinementChecker:
                     _PROCESS, action, RefinementChecker._process_unknown
                 )
             if (process is RefinementChecker._process_commit
-                    and action.op_id is not None):
-                record = self._ops.get(action.op_id)
-                needs_return = (
-                    record is not None
-                    and record.kind == MUTATOR
-                    and action.op_id not in self._returns
-                )
-                if needs_return:
-                    return  # wait for the return value (online lookahead)
+                    and self._awaits_return(action)):
+                return
             buffer.popleft()
             process(self, seq, action)
             self.outcome.actions_processed += 1
+
+    def _awaits_return(self, action: CommitAction) -> bool:
+        """A mutator's commit whose return has not been fed yet: it waits
+        for the return value (the online lookahead of section 2)."""
+        if action.op_id is None or action.op_id in self._returns:
+            return False
+        record = self._ops.get(action.op_id)
+        return record is not None and record.kind == MUTATOR
 
     def _violate(
         self,

@@ -52,6 +52,26 @@ def _sort_key(value: Any):
     return (type(value).__name__, repr(value))
 
 
+class UnitMemo(dict):
+    """``loc -> unit_of(loc)``, each location mapped on its first lookup.
+
+    A write then costs one dict lookup instead of one ``unit_of`` call,
+    which parses the location name.  This is only sound because
+    ``unit_of`` must be a pure function of the location name.  The memo is
+    derived data, so no checkpoint carries it.
+    """
+
+    __slots__ = ("unit_of",)
+
+    def __init__(self, unit_of: Callable[[str], Optional[Hashable]]):
+        super().__init__()
+        self.unit_of = unit_of
+
+    def __missing__(self, loc: str) -> Optional[Hashable]:
+        unit = self[loc] = self.unit_of(loc)
+        return unit
+
+
 class ImplView:
     """Interface for implementation views.
 
@@ -124,7 +144,9 @@ class ContributionView(ImplView):
         Maps a shared-variable name to the unit it belongs to, or ``None``
         when the variable is outside ``supp(view)`` (writes to it never
         dirty the view).  This encodes the paper's static dependency
-        analysis of the view computation.
+        analysis of the view computation.  It must be a pure function of
+        the name: the view calls it once per distinct location and
+        memoizes the answer (:class:`UnitMemo`).
     contribute:
         ``contribute(state, unit) -> (key, value) | None``.  ``None`` means
         the unit currently contributes nothing (empty slot, evicted entry,
@@ -143,7 +165,7 @@ class ContributionView(ImplView):
     ):
         if aggregate not in ("list", "count"):
             raise ValueError(f"unknown aggregate mode {aggregate!r}")
-        self._unit_of = unit_of
+        self._unit_of = UnitMemo(unit_of)
         self._contribute = contribute
         self._aggregate = aggregate
         self._dirty: set = set()
@@ -162,14 +184,14 @@ class ContributionView(ImplView):
     # -- dirtiness ------------------------------------------------------------
 
     def on_write(self, loc: str) -> None:
-        unit = self._unit_of(loc)
+        unit = self._unit_of[loc]
         if unit is not None:
             self._dirty.add(unit)
 
     def _mark_locs(self, locs: Iterable[str]) -> set:
         units = set()
         for loc in locs:
-            unit = self._unit_of(loc)
+            unit = self._unit_of[loc]
             if unit is not None:
                 units.add(unit)
         return units
@@ -254,7 +276,7 @@ class ContributionView(ImplView):
         fresh: Dict[Hashable, Dict[Hashable, Any]] = {}
         units = set()
         for loc in state:
-            unit = self._unit_of(loc)
+            unit = self._unit_of[loc]
             if unit is not None:
                 units.add(unit)
         for unit in units:

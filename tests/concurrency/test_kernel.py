@@ -1,5 +1,6 @@
 """Kernel semantics: spawning, scheduling, atomicity, daemons, failures."""
 
+import gc
 import hashlib
 import json
 import random
@@ -7,20 +8,44 @@ import random
 import pytest
 
 from repro.concurrency import (
+    Condition,
     DeadlockError,
     Kernel,
     KernelStopped,
     Lock,
     RandomScheduler,
     RoundRobinScheduler,
+    RWLock,
     SharedCell,
     SimThreadError,
     Status,
     StepLimitExceeded,
     run_threads,
 )
-from repro.concurrency.kernel import ReadSys
+from repro.concurrency.kernel import (
+    _HANDLERS,
+    AcquireSys,
+    BeginCommitBlockSys,
+    CommitSys,
+    CondNotifySys,
+    CondWaitSys,
+    EndCommitBlockSys,
+    JoinSys,
+    Pass,
+    ReadSys,
+    ReleaseSys,
+    ReplaySys,
+    RWBeginReadSys,
+    RWBeginWriteSys,
+    RWEndReadSys,
+    RWEndWriteSys,
+    Syscall,
+    WriteSys,
+)
+from repro.concurrency.reduction import describe_syscall
 from repro.harness import run_program
+from repro.harness.runner import explore_program
+from repro.harness.workload import PROGRAMS
 
 
 def test_single_thread_runs_to_completion():
@@ -262,6 +287,113 @@ def test_syscall_subclass_dispatches_like_its_base():
 
     run_threads([body])
     assert seen == [5]
+
+
+def _syscall_samples():
+    """One ``(type, args)`` per syscall type, over real primitives."""
+    cell, lock, rwlock = SharedCell("c", 0), Lock("l"), RWLock("rw")
+    cond = Condition(lock, "cv")
+    thread = Kernel().spawn(lambda ctx: (yield ctx.checkpoint()))
+    samples = [
+        (Pass, ()), (ReadSys, (cell,)), (WriteSys, (cell, 1, True)),
+        (AcquireSys, (lock,)), (ReleaseSys, (lock, True)),
+        (RWBeginReadSys, (rwlock,)), (RWEndReadSys, (rwlock,)),
+        (RWBeginWriteSys, (rwlock,)), (RWEndWriteSys, (rwlock, True)),
+        (CommitSys, ()), (BeginCommitBlockSys, ()),
+        (EndCommitBlockSys, (True,)), (ReplaySys, ("tag", (1, 2), True)),
+        (JoinSys, (thread,)), (CondWaitSys, (cond,)), (CondNotifySys, (cond, -1)),
+    ]
+    assert [cls for cls, _ in samples] == list(_HANDLERS)
+    return samples
+
+
+def test_syscalls_are_slotted():
+    """A syscall is built on nearly every kernel step, so it carries no
+    per-instance ``__dict__``."""
+    assert "__slots__" in vars(Syscall)
+    for cls, args in _syscall_samples():
+        assert "__slots__" in vars(cls), cls.__name__
+        assert not hasattr(cls(*args), "__dict__"), cls.__name__
+
+
+def test_context_syscalls_are_shared_constants():
+    """The four context syscalls carry no program object, so every thread
+    yields one shared object for each."""
+    made = []
+
+    def body(ctx):
+        made.append((
+            ctx.checkpoint(), ctx.commit(), ctx.begin_commit_block(),
+            ctx.end_commit_block(), ctx.end_commit_block(commit=True),
+        ))
+        yield ctx.checkpoint()
+
+    run_threads([body, body])
+    first, second = made
+    assert all(a is b for a, b in zip(first, second))
+    checkpoint, commit, begin, end, end_commit = first
+    assert type(checkpoint) is Pass and type(commit) is CommitSys
+    assert type(begin) is BeginCommitBlockSys
+    assert type(end) is type(end_commit) is EndCommitBlockSys
+    assert (end.commit, end_commit.commit) == (False, True)
+
+
+def test_syscall_subclass_describes_like_its_base():
+    """Schedule reduction sees a syscall subclass as its base type."""
+    for cls, args in _syscall_samples():
+        sub = type(f"Tagged{cls.__name__}", (cls,), {"__slots__": ()})
+        assert describe_syscall(sub(*args)) == describe_syscall(cls(*args))
+
+
+def test_syscall_repr_names_its_fields():
+    cell = SharedCell("c", 0)
+    assert repr(Pass()) == "Pass()"
+    assert repr(WriteSys(cell, 3)) == (
+        f"WriteSys(cell={cell!r}, value=3, commit=False)"
+    )
+
+    class TaggedRelease(ReleaseSys):
+        __slots__ = ()
+
+    lock = Lock("l")
+    assert repr(TaggedRelease(lock, commit=True)) == (
+        f"TaggedRelease(lock={lock!r}, commit=True)"
+    )
+
+
+def _cyclic_garbage(work) -> int:
+    """Run ``work()`` and count the objects the cyclic collector then
+    finds unreachable (``DEBUG_SAVEALL`` keeps them in ``gc.garbage``)."""
+    gc.collect()
+    saved, flags = len(gc.garbage), gc.get_debug()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        work()
+        gc.collect()
+        return len(gc.garbage) - saved
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[saved:]
+
+
+@pytest.mark.parametrize("program", sorted(PROGRAMS))
+def test_clean_runs_leave_nothing_for_the_cyclic_collector(program):
+    """No syscall is cached on a cell, lock or condition: one that was
+    would refer back to its primitive, a cycle left behind by every run."""
+
+    def work():
+        result = run_program(program, num_threads=3, calls_per_thread=8)
+        assert result.kernel.steps > 0
+
+    assert _cyclic_garbage(work) == 0
+
+
+def test_clean_swarm_leaves_nothing_for_the_cyclic_collector():
+    def work():
+        result = explore_program("blinktree", num_runs=20, jobs=1)
+        assert len(result.runs) == 20 and not result.failures
+
+    assert _cyclic_garbage(work) == 0
 
 
 def test_scheduler_sees_only_ready_threads_in_tid_order():

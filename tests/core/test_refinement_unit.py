@@ -1,4 +1,7 @@
-"""Checker semantics on handcrafted logs (no simulator involved)."""
+"""Checker semantics on handcrafted logs, and on registry logs fed in
+different batch sizes."""
+
+from collections import deque
 
 import pytest
 
@@ -24,6 +27,9 @@ from repro.core import (
     mutator,
     observer,
 )
+from repro.core.plan import CheckPlan
+from repro.harness import run_program
+from repro.harness.workload import PROGRAMS
 
 
 class RegisterSpec(Specification):
@@ -329,6 +335,75 @@ def test_commit_waits_for_return_value():
     checker.feed([ReturnAction(0, 0, "set", True)])
     assert checker.outcome.commits_executed == 1
     assert checker.finish().ok
+
+
+class _RecordingDeque(deque):
+    """A lookahead buffer that remembers every record parked in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.parked = []
+
+    def append(self, item):
+        self.parked.append(item)
+        super().append(item)
+
+    def extend(self, items):
+        items = list(items)
+        self.parked.extend(items)
+        super().extend(items)
+
+
+@pytest.mark.parametrize("program", ["multiset-vector", "cache", "blinktree"])
+def test_clean_log_fed_whole_never_enters_the_lookahead_buffer(program):
+    """Every commit's return is in a whole log, so no record waits: each
+    goes straight to its handler."""
+    log = run_program(program, num_threads=3, calls_per_thread=8, seed=1).log
+    checker = CheckPlan.for_program(program).refinement_checker()
+    checker._buffer = buffer = _RecordingDeque()
+    checker.feed(log)
+    outcome = checker.finish()
+    assert outcome.ok and outcome.actions_processed == len(log)
+    assert buffer.parked == []
+
+
+def test_commit_parks_the_records_after_it_until_its_return():
+    checker = RefinementChecker(RegisterSpec(), mode="io")
+    checker._buffer = buffer = _RecordingDeque()
+    head = [CallAction(0, 0, "set", (5,)), CallAction(1, 1, "set", (6,))]
+    parked = [CommitAction(0, 0), CommitAction(1, 1), ReturnAction(1, 1, "set", True)]
+    checker.feed(head + parked)
+    assert [seq for seq, _ in buffer.parked] == [2, 3, 4]
+    assert checker.outcome.actions_processed == 2
+    checker.feed([ReturnAction(0, 0, "set", True)])
+    assert not buffer and checker.outcome.commits_executed == 2
+    outcome = checker.finish()
+    assert outcome.ok and outcome.actions_processed == 6
+
+
+@pytest.mark.parametrize("program", sorted(PROGRAMS))
+def test_verdict_does_not_depend_on_how_the_log_is_fed(program):
+    """Fed whole, in 64-record batches or one record at a time, a checker
+    reaches the same outcome, clean or buggy, in view and io mode, stopping
+    at the first violation or not."""
+    for buggy in (False, True):
+        log = list(run_program(
+            program, buggy=buggy, num_threads=3, calls_per_thread=8, seed=2
+        ).log)
+        for mode in ("view", "io"):
+            for stop_at_first in (True, False):
+                plan = CheckPlan.for_program(
+                    program, mode, stop_at_first=stop_at_first
+                )
+                outcomes = []
+                for size in (len(log), 64, 1):
+                    checker = plan.refinement_checker()
+                    for start in range(0, len(log), size):
+                        checker.feed(log[start:start + size])
+                    outcomes.append(checker.finish().to_dict())
+                assert outcomes[0] == outcomes[1] == outcomes[2], (
+                    buggy, mode, stop_at_first
+                )
 
 
 def test_incomplete_log_reported():

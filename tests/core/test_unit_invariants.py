@@ -1,15 +1,20 @@
 """The per-unit invariant contract and the checker's end-of-run drift check."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
 from repro.core import (
+    BeginCommitBlockAction,
     CallAction,
     CommitAction,
+    ContributionView,
+    EndCommitBlockAction,
     FunctionView,
     Invariant,
     Log,
+    RefinementChecker,
     ReturnAction,
     ViolationKind,
     WriteAction,
@@ -111,3 +116,47 @@ def test_complete_unit_map_has_no_drift():
         (ViolationKind.INVARIANT, 2),
     ]
     assert "invariant_drift" not in outcome.stats
+
+
+def test_unit_of_is_called_once_per_distinct_location():
+    """``unit_of`` is a pure function of the location name, so over a
+    whole check the view and each per-unit invariant map a location once,
+    however often it is written, shadowed by another thread's open commit
+    block or revisited by the final full check."""
+    calls = {"view": Counter(), "invariant": Counter()}
+
+    def counting(owner):
+        def unit_of(loc):
+            calls[owner][loc] += 1
+            return _every_cell(loc)
+
+        return unit_of
+
+    log = Log(
+        _set(0, ("cell[0]", 1), ("cell[1]", 2))
+        + [
+            CallAction(1, 1, "set", (1,)),
+            BeginCommitBlockAction(1, 1),
+            WriteAction(1, 1, "cell[1]", 2, 3),
+            WriteAction(1, 1, "other", None, 0),
+        ]
+        # commits while thread 1's open block shadows cell[1] and other
+        + _set(2, ("cell[0]", 4), ("cell[2]", 5))
+        + [
+            EndCommitBlockAction(1, 1),
+            CommitAction(1, 1),
+            ReturnAction(1, 1, "set", True),
+        ]
+        + _set(3, ("cell[1]", 6), ("cell[0]", 7))
+    )
+    checker = RefinementChecker(
+        CellsSpec(), mode="view",
+        impl_view=ContributionView(
+            unit_of=counting("view"), contribute=lambda state, unit: None
+        ),
+        invariants=[_cells_invariant(counting("invariant"))],
+    )
+    checker.feed(log)
+    assert checker.finish().ok
+    once = Counter(dict.fromkeys(("cell[0]", "cell[1]", "cell[2]", "other"), 1))
+    assert calls == {"view": once, "invariant": once}
