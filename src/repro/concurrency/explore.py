@@ -57,7 +57,6 @@ so a campaign that survived faults compares equal to one that saw none.
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import os
 from collections import deque
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
@@ -72,7 +71,7 @@ from .parallel import (
     resolve_program,
 )
 from .reduction import ReducedReplayScheduler
-from .resilient import ResilientPool, RetryPolicy
+from .resilient import ResilientPool, RetryPolicy, fork_context
 from .schedulers import RandomScheduler, ReplayScheduler, Scheduler
 
 
@@ -394,9 +393,7 @@ def _explore_pool(source, reducer, tasks, budget, stop_on_failure, ordered,
     ``faults`` is a :class:`repro.faults.FaultPlan` (or anything with
     ``task_faults(serial, attempt)``) addressing pool task serials.
     """
-    context = multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    )
+    context = fork_context()
     pool = ResilientPool(
         functools.partial(_pool_batch, _OncePickledSource(source), reducer,
                           ordered and stop_on_failure),

@@ -14,10 +14,10 @@ drivers and the executor:
   expired is charged a retry -- innocent casualties of the pool kill ride
   again for free.
 * **Bounded retry with exponential backoff and seeded jitter.**  Charged
-  retries wait ``backoff_base * backoff_factor**(attempt-1)`` seconds
-  (capped), stretched by a jitter drawn from a :class:`random.Random`
-  seeded with ``(seed, task serial, attempt)`` -- replayable, and spread
-  out so a rebuilt pool is not re-stormed.
+  retries wait :meth:`RetryPolicy.delay` seconds: ``backoff_base`` doubled
+  per attempt (capped), stretched by a jitter drawn from a
+  :class:`random.Random` seeded with ``(seed, task serial, attempt)`` --
+  replayable, and spread out so a rebuilt pool is not re-stormed.
 * **Broken-pool recovery.**  ``BrokenProcessPool`` marks every pending
   future dead; the pool salvages futures that completed before the break,
   rebuilds the executor, and re-dispatches the rest.  Completed results
@@ -38,43 +38,64 @@ bit-identical to serial) survives any transient fault.
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
+#: Backoff growth per attempt, and the largest relative jitter stretch.
+BACKOFF_FACTOR = 2.0
+JITTER = 0.5
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How hard the pool tries before giving a task up.
+    """How hard a caller retries before giving up; the one retry policy.
 
-    ``timeout`` is the per-task wall-clock ceiling in seconds (``None``
-    disables the watchdog).  ``max_retries`` bounds the *charged* attempts
-    beyond the first: a task is terminal once it has failed
-    ``max_retries + 1`` times on its own account.  Backoff for attempt
-    ``n >= 1`` is ``min(backoff_max, backoff_base * backoff_factor**(n-1))``
-    stretched by up to ``jitter`` (relative), drawn deterministically from
-    ``seed`` so that campaigns replay.
+    The pool, the producer supervisor
+    (:class:`~repro.serve.supervise.ProducerSupervisor`) and the retrying
+    store (:class:`~repro.serve.retry.RetryingStore`) all pace retries with
+    it.  ``max_retries`` bounds the *charged* attempts beyond the first: a
+    pool task is terminal once it has failed ``max_retries + 1`` times on
+    its own account, a producer is restarted at most ``max_retries`` times.
+    ``timeout`` is the pool's per-attempt wall-clock ceiling in seconds
+    (``None`` disables the watchdog); nothing else enforces one.
     """
 
     max_retries: int = 2
     timeout: Optional[float] = None
     backoff_base: float = 0.05
-    backoff_factor: float = 2.0
     backoff_max: float = 1.0
-    jitter: float = 0.5
     seed: int = 0
 
-    def delay(self, serial: int, attempt: int) -> float:
+    def delay(self, key, attempt: int) -> float:
+        """Seconds to wait before attempt ``attempt >= 1`` of ``key``.
+
+        ``min(backoff_max, backoff_base * BACKOFF_FACTOR**(attempt-1))``
+        stretched by up to :data:`JITTER` (relative), drawn from a
+        :class:`random.Random` seeded with ``seed``, ``key`` and ``attempt``
+        so that a retried run replays its pacing.
+        """
         if attempt <= 0:
             return 0.0
         base = min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** (attempt - 1),
+            self.backoff_max, self.backoff_base * BACKOFF_FACTOR ** (attempt - 1)
         )
-        rng = random.Random(f"{self.seed}:{serial}:{attempt}")
-        return base * (1.0 + self.jitter * rng.random())
+        rng = random.Random(f"{self.seed}:{key}:{attempt}")
+        return base * (1.0 + JITTER * rng.random())
+
+
+def fork_context():
+    """The ``fork`` multiprocessing context where the platform has one.
+
+    A forked worker or producer inherits the parent's loaded program
+    instead of re-importing it; elsewhere the platform default is used.
+    """
+    return multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    )
 
 
 @dataclass
@@ -84,7 +105,6 @@ class TaskFailure:
     kind: str  # "timeout" | "pool_broken" | "worker_error"
     message: str
     attempts: int
-    elapsed: float
 
     def __str__(self) -> str:
         return f"{self.kind} after {self.attempts} attempt(s): {self.message}"
@@ -92,7 +112,7 @@ class TaskFailure:
 
 class _Task:
     __slots__ = (
-        "key", "payload", "serial", "attempts", "deadline", "started",
+        "key", "payload", "serial", "attempts", "deadline",
         "parent", "part_index", "splittable",
     )
 
@@ -103,7 +123,6 @@ class _Task:
         self.serial = serial
         self.attempts = 0
         self.deadline: Optional[float] = None
-        self.started: float = 0.0
         self.parent: Optional["_Aggregate"] = parent
         self.part_index = part_index
         self.splittable = splittable
@@ -137,11 +156,10 @@ class ResilientPool:
         or a single-element list when it cannot be split further).
     combine:
         ``combine(list_of_part_results) -> result`` -- reassembles split
-        results into the parent's shape; required when ``split`` is given.
+        results into the parent's shape.
     give_up:
         ``give_up(payload, TaskFailure) -> result`` -- synthesizes a
-        result for an unsplittable task whose retries are exhausted.  When
-        omitted, the :class:`TaskFailure` itself is returned as the result.
+        result for an unsplittable task whose retries are exhausted.
     decorate:
         ``decorate(payload, serial, attempt) -> extra`` -- computes the
         picklable second worker argument per dispatch; this is the seam the
@@ -153,17 +171,15 @@ class ResilientPool:
         self,
         worker_fn: Callable,
         make_executor: Callable[[], ProcessPoolExecutor],
-        policy: Optional[RetryPolicy] = None,
-        split: Optional[Callable] = None,
-        combine: Optional[Callable] = None,
-        give_up: Optional[Callable] = None,
+        policy: RetryPolicy,
+        split: Callable,
+        combine: Callable,
+        give_up: Callable,
         decorate: Optional[Callable] = None,
     ):
-        if split is not None and combine is None:
-            raise ValueError("split requires combine")
         self._worker_fn = worker_fn
         self._make_executor = make_executor
-        self.policy = policy or RetryPolicy()
+        self.policy = policy
         self._split = split
         self._combine = combine
         self._give_up = give_up
@@ -175,9 +191,6 @@ class ResilientPool:
         self._serial = 0
         self._submitted = 0
         self.events: List[dict] = []
-        self.retries = 0
-        self.rebuilds = 0
-        self.total_backoff = 0.0
 
     # -- public API ---------------------------------------------------------
 
@@ -240,10 +253,9 @@ class ResilientPool:
             if self._decorate is not None else None
         )
         future = self._executor.submit(self._worker_fn, task.payload, extra)
-        now = time.monotonic()
-        task.started = now
         task.deadline = (
-            now + self.policy.timeout if self.policy.timeout is not None else None
+            time.monotonic() + self.policy.timeout
+            if self.policy.timeout is not None else None
         )
         self._live[future] = task
 
@@ -331,7 +343,6 @@ class ResilientPool:
 
     def _rebuild_executor(self, kill: bool) -> None:
         old = self._executor
-        processes = list(getattr(old, "_processes", None) or {})
         if kill:
             for process in (getattr(old, "_processes", None) or {}).values():
                 try:
@@ -342,41 +353,28 @@ class ResilientPool:
             old.shutdown(wait=True, cancel_futures=True)
         except Exception:  # pragma: no cover - broken pools may misbehave
             pass
-        del processes
-        self.rebuilds += 1
         self._executor = self._make_executor()
 
     def _charge(self, task: _Task, kind: str, message: str) -> None:
         task.attempts += 1
         if task.attempts > self.policy.max_retries:
-            failure = TaskFailure(
-                kind=kind, message=message, attempts=task.attempts,
-                elapsed=time.monotonic() - task.started,
-            )
-            self._terminal(task, failure)
+            self._terminal(task, TaskFailure(kind, message, task.attempts))
         else:
             self._requeue(task, charge=True)
 
     def _requeue(self, task: _Task, charge: bool) -> None:
         delay = self.policy.delay(task.serial, task.attempts) if charge else 0.0
         if charge:
-            self.retries += 1
-            self.total_backoff += delay
             self._event("retry", task, delay=delay)
         self._retry_at.append((time.monotonic() + delay, task))
 
     def _terminal(self, task: _Task, failure: TaskFailure) -> None:
-        parts = (
-            self._split(task.payload)
-            if self._split is not None and task.splittable else None
-        )
+        parts = self._split(task.payload) if task.splittable else None
         if parts and len(parts) > 1:
             # Isolate the poison: re-run each item alone so only the schedule
             # that actually crashes or hangs pays the price.
             self._event("split", task, detail=f"{len(parts)} singleton(s)")
             aggregate = _Aggregate(key=task.key, expected=len(parts))
-            if task.parent is not None:  # pragma: no cover - one level only
-                raise AssertionError("split tasks must not split again")
             for index, part in enumerate(parts):
                 sub = _Task(
                     key=(task.key, index), payload=part,
@@ -386,11 +384,7 @@ class ResilientPool:
                 self._dispatch(sub)
             return
         self._event("gave_up", task, detail=str(failure))
-        result = (
-            self._give_up(task.payload, failure)
-            if self._give_up is not None else failure
-        )
-        self._complete(task, result)
+        self._complete(task, self._give_up(task.payload, failure))
 
     def _complete(self, task: _Task, result) -> None:
         if task.parent is None:

@@ -63,6 +63,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..concurrency.explore import _swarm_chunks, explore_swarm
+from ..concurrency.resilient import RetryPolicy
 from ..core.log import load_log, recover_log, save_log, verify_chain
 from ..harness.runner import ProgramSpec, run_program
 from .inject import apply_log_faults
@@ -374,7 +375,7 @@ def _producer_kill_round(
     """
     from ..serve.daemon import ServeSession, session_checkers
     from ..serve.store import LocalDirectoryStore
-    from ..serve.supervise import ProducerSupervisor, SupervisionPolicy
+    from ..serve.supervise import ProducerSupervisor
 
     checks: List[dict] = []
     ok = True
@@ -398,8 +399,8 @@ def _producer_kill_round(
             supervisor = ProducerSupervisor(
                 sup_store, "sup", program, workload_seed, 2,
                 run_kwargs=run_kwargs,
-                policy=SupervisionPolicy(
-                    max_restarts=2, seed=plan.seed, backoff_base=0.01,
+                policy=RetryPolicy(
+                    max_retries=2, seed=plan.seed, backoff_base=0.01,
                 ),
                 kill_after=kill_after,
             )

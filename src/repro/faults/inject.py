@@ -20,7 +20,7 @@ from typing import List, Optional
 
 from ..concurrency.kernel import Tracer
 from ..core.log import _CHAIN_HEADER, FRAME_FIXED, LogFormatError, read_prologue
-from ..serve.store import LogStore
+from ..serve.store import WrappedStore
 from .plan import (
     BITFLIP_LOG,
     FLAKY_STORE,
@@ -228,8 +228,13 @@ class LatencyTracer(Tracer):
         self.inner.on_join(tid, child_tid)
 
 
-class FlakyStore(LogStore):
-    """Plan-driven brownout wrapper around a serve-layer :class:`LogStore`.
+#: Most consecutive :data:`~repro.faults.plan.FLAKY_STORE` failures, so a
+#: bounded retry budget always gets through.
+MAX_CONSECUTIVE = 2
+
+
+class FlakyStore(WrappedStore):
+    """Plan-driven brownout wrapper around a serve-layer ``LogStore``.
 
     Simulates a misbehaving blob backend for the retry layer
     (:class:`repro.serve.retry.RetryingStore`) to absorb.  Three behaviours,
@@ -239,22 +244,21 @@ class FlakyStore(LogStore):
       probability ``frac`` (raising
       :class:`~repro.serve.retry.TransientStoreError`), and every
       ``every``-th op stalls ``seconds`` before completing (a latency
-      spike).  Consecutive failures are capped at ``max_consecutive`` so a
-      bounded retry budget is always sufficient -- the transient-fault
+      spike).  Consecutive failures are capped at :data:`MAX_CONSECUTIVE`
+      so a bounded retry budget is always sufficient -- the transient-fault
       model every other injector here follows.
     * :data:`~repro.faults.plan.STORE_OUTAGE` -- once op serial ``task`` is
       reached, *every* op fails for ``seconds`` of wall-clock time (a
       blackout window); retry backoff is what rides past it.
 
-    Subclassing :class:`LogStore` means the convenience helpers
-    (``get_json``, ``set_flag``, ...) route through the faulted primitives
-    exactly as they do on a real store.
+    Every primitive but ``path`` is faulted (see
+    :class:`~repro.serve.store.WrappedStore`).
     """
 
-    def __init__(self, inner, plan: FaultPlan, *, max_consecutive: int = 2):
+    def __init__(self, inner, plan: FaultPlan):
         import random
 
-        self.inner = inner
+        super().__init__(inner)
         self.plan = plan
         flaky = [f for f in plan.store_faults if f.kind == FLAKY_STORE]
         outages = [f for f in plan.store_faults if f.kind == STORE_OUTAGE]
@@ -262,7 +266,6 @@ class FlakyStore(LogStore):
         self._outage: Optional[Fault] = outages[0] if outages else None
         self._rng = random.Random(f"{plan.seed}:flaky-store")
         self._lock = threading.Lock()
-        self._max_consecutive = max(1, max_consecutive)
         self._consecutive = 0
         self._outage_started: Optional[float] = None
         self.ops = 0
@@ -295,7 +298,7 @@ class FlakyStore(LogStore):
                 roll = self._rng.random()
                 if (
                     roll < fault.frac
-                    and self._consecutive < self._max_consecutive
+                    and self._consecutive < MAX_CONSECUTIVE
                 ):
                     self._consecutive += 1
                     self.failures += 1
@@ -309,36 +312,8 @@ class FlakyStore(LogStore):
                     self.stalls += 1
             return stall
 
-    def _op(self, op: str, name: str, fn, *args):
+    def _call(self, op: str, name: str, fn, *args):
         stall = self._maybe_fail(op, name)
         if stall:
             time.sleep(stall)
         return fn(*args)
-
-    # -- faulted LogStore primitives ----------------------------------------
-
-    def open_append(self, name):
-        return self._op("open_append", name, self.inner.open_append, name)
-
-    def open_read(self, name):
-        return self._op("open_read", name, self.inner.open_read, name)
-
-    def read_range(self, name, start, end=None):
-        return self._op(
-            "read_range", name, self.inner.read_range, name, start, end
-        )
-
-    def size(self, name):
-        return self._op("size", name, self.inner.size, name)
-
-    def list(self, prefix=""):
-        return self._op("list", prefix, self.inner.list, prefix)
-
-    def put_bytes(self, name, data):
-        return self._op("put_bytes", name, self.inner.put_bytes, name, data)
-
-    def delete(self, name):
-        return self._op("delete", name, self.inner.delete, name)
-
-    def path(self, name):
-        return self.inner.path(name)  # metadata only: never faulted

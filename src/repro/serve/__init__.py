@@ -55,7 +55,6 @@ from .store import LocalDirectoryStore, LogStore, ObjectStoreStub
 from .supervise import (
     ProducerSupervisor,
     ShardSalvage,
-    SupervisionPolicy,
     SupervisorState,
     salvage_session,
     salvage_shard,
@@ -80,7 +79,6 @@ __all__ = [
     "StoreThrottle",
     "StoreUnavailable",
     "StreamMerger",
-    "SupervisionPolicy",
     "SupervisorState",
     "TeeLog",
     "TransientStoreError",

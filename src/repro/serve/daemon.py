@@ -51,6 +51,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
+from ..concurrency.resilient import RetryPolicy, fork_context
 from ..core import (
     CheckOutcome,
     Checkpoint,
@@ -249,9 +250,6 @@ class ServeSession:
         Bound of the ingest->checker queue; the memory cap and the
         backpressure trigger.  The store PAUSE flag is raised at 3/4 of it
         and cleared at 1/4.
-    checker_delay:
-        Artificial per-batch checker stall (seconds) -- the test hook that
-        forces checker lag so backpressure determinism can be exercised.
     timeout:
         Wall-clock bound on the whole session; exceeded => incomplete.
     checkpoint_every:
@@ -289,7 +287,6 @@ class ServeSession:
         race_checker_factory: Optional[Callable] = None,
         queue_records: int = 4096,
         batch_records: int = 256,
-        checker_delay: float = 0.0,
         timeout: float = 120.0,
         checkpoint_every: int = 0,
         resume: bool = False,
@@ -309,7 +306,6 @@ class ServeSession:
         self.batch_records = max(1, min(batch_records, self.queue.max_records))
         self.pause_high = (queue_records * 3) // 4
         self.pause_low = queue_records // 4
-        self.checker_delay = checker_delay
         self.timeout = timeout
         self.checkpoint_every = max(0, checkpoint_every)
         self.resume = resume
@@ -577,8 +573,6 @@ class ServeSession:
                             )
                     else:
                         lag_since = None
-                if self.checker_delay and not self._checker_shed:
-                    time.sleep(self.checker_delay)
         except Exception as exc:  # surfaced on the result, not swallowed
             self._checker_error = f"checker: {exc!r}"
         finally:
@@ -892,7 +886,6 @@ def serve_campaign(
     ``degrade_lag`` opts into record-only degradation (see
     :class:`ServeSession`).
     """
-    import multiprocessing
     from concurrent.futures import ThreadPoolExecutor
 
     from .store import LocalDirectoryStore
@@ -905,12 +898,8 @@ def serve_campaign(
         )
     from .producer import _producer_main
     from .retry import RetryingStore
-    from .supervise import ProducerSupervisor, SupervisionPolicy
+    from .supervise import ProducerSupervisor
 
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        ctx = multiprocessing.get_context()
     plan = CheckPlan.for_program(program, mode, races=races)
     kwargs = dict(run_kwargs or {})
     kwargs.setdefault("mode", mode)
@@ -938,8 +927,8 @@ def serve_campaign(
             supervisor = ProducerSupervisor(
                 store, name, program, seed, num_shards,
                 sync=sync, batch_records=batch_records, run_kwargs=kwargs,
-                policy=SupervisionPolicy(max_restarts=max_restarts, seed=seed),
-                kill_after=kill_producer_after, ctx=ctx,
+                policy=RetryPolicy(max_retries=max_restarts, seed=seed),
+                kill_after=kill_producer_after,
             )
             supervisor.start()
             try:
@@ -955,7 +944,7 @@ def serve_campaign(
                 "events": list(state.ledger),
             }
             return result
-        process = ctx.Process(
+        process = fork_context().Process(
             target=_producer_main,
             args=(store.root, name, program, seed, num_shards, sync,
                   batch_records, kwargs),

@@ -8,8 +8,8 @@ every operation is safe to retry.  :class:`RetryingStore` wraps any
 :class:`~repro.serve.store.LogStore` and gives each call:
 
 * **bounded retries** -- up to ``retries`` re-attempts after the first
-  failure, with exponential backoff and deterministic seeded jitter (the
-  same policy shape as :class:`repro.concurrency.resilient.RetryPolicy`);
+  failure, paced by the one :class:`repro.concurrency.resilient.RetryPolicy`
+  (exponential backoff, deterministic seeded jitter);
 * **a per-operation deadline** -- ``op_timeout`` seconds across all
   attempts of one call; a retry that would start after the deadline is
   not attempted;
@@ -26,11 +26,11 @@ through -- tailing readers poll on exactly that distinction.
 
 from __future__ import annotations
 
-import random
 import time
-from typing import IO, List, Optional, Tuple, Type
+from typing import Tuple, Type
 
-from .store import LogStore
+from ..concurrency.resilient import RetryPolicy
+from .store import LogStore, WrappedStore
 
 
 class TransientStoreError(Exception):
@@ -73,7 +73,7 @@ DEFAULT_RETRYABLE: Tuple[Type[BaseException], ...] = (
 )
 
 
-class RetryingStore(LogStore):
+class RetryingStore(WrappedStore):
     """Wrap a :class:`LogStore` so every call retries transient failures.
 
     Parameters
@@ -86,16 +86,14 @@ class RetryingStore(LogStore):
     op_timeout:
         Deadline in seconds for one logical operation across all of its
         attempts; a backoff sleep never extends past it.
-    backoff_base / backoff_factor / backoff_max / jitter / seed:
-        Retry pacing: attempt ``n >= 1`` waits
-        ``min(backoff_max, backoff_base * backoff_factor**(n-1))`` stretched
-        by up to ``jitter`` (relative), drawn deterministically from
-        ``seed`` and the operation serial -- replayable brownout recovery.
-    retry_on:
-        Exception types considered transient.
+    backoff_base / backoff_max / seed:
+        Retry pacing: ``policy``, a
+        :class:`~repro.concurrency.resilient.RetryPolicy` keyed by the
+        operation serial -- replayable brownout recovery.
 
-    ``stats`` counts retries, giveups and total backoff seconds -- the
-    daemon surfaces them on :class:`~repro.serve.daemon.ServeResult`.
+    Only :data:`DEFAULT_RETRYABLE` errors are retried.  ``stats`` counts
+    retries, giveups and total backoff seconds -- the daemon surfaces them
+    on :class:`~repro.serve.daemon.ServeResult`.
     """
 
     def __init__(
@@ -105,34 +103,18 @@ class RetryingStore(LogStore):
         retries: int = 3,
         op_timeout: float = 10.0,
         backoff_base: float = 0.01,
-        backoff_factor: float = 2.0,
         backoff_max: float = 0.25,
-        jitter: float = 0.5,
         seed: int = 0,
-        retry_on: Tuple[Type[BaseException], ...] = DEFAULT_RETRYABLE,
     ):
-        self.inner = inner
-        self.retries = max(0, retries)
+        super().__init__(inner)
+        self.policy = RetryPolicy(
+            max_retries=max(0, retries), backoff_base=backoff_base,
+            backoff_max=backoff_max, seed=seed,
+        )
         self.op_timeout = op_timeout
-        self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
-        self.backoff_max = backoff_max
-        self.jitter = jitter
-        self.seed = seed
-        self.retry_on = retry_on
         self._serial = 0
         self.stats = {"calls": 0, "retries": 0, "giveups": 0,
                       "backoff_seconds": 0.0}
-
-    # -- retry engine --------------------------------------------------------
-
-    def _backoff(self, serial: int, attempt: int) -> float:
-        base = min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** (attempt - 1),
-        )
-        rng = random.Random(f"{self.seed}:{serial}:{attempt}")
-        return base * (1.0 + self.jitter * rng.random())
 
     def _call(self, op: str, name: str, fn, *args):
         self._serial += 1
@@ -143,17 +125,13 @@ class RetryingStore(LogStore):
         while True:
             try:
                 return fn(*args)
-            except self.retry_on as exc:
+            except DEFAULT_RETRYABLE as exc:
                 attempt += 1
-                if attempt > self.retries:
-                    self.stats["giveups"] += 1
-                    raise StoreUnavailable(
-                        op, name, attempt,
-                        self.op_timeout - (deadline - time.monotonic()),
-                        exc,
-                    ) from exc
-                delay = self._backoff(serial, attempt)
-                if time.monotonic() + delay > deadline:
+                delay = self.policy.delay(serial, attempt)
+                if (
+                    attempt > self.policy.max_retries
+                    or time.monotonic() + delay > deadline
+                ):
                     self.stats["giveups"] += 1
                     raise StoreUnavailable(
                         op, name, attempt,
@@ -163,34 +141,3 @@ class RetryingStore(LogStore):
                 self.stats["retries"] += 1
                 self.stats["backoff_seconds"] += delay
                 time.sleep(delay)
-
-    # -- LogStore surface (every primitive delegated with retry) -------------
-
-    def open_append(self, name: str) -> IO[bytes]:
-        return self._call("open_append", name, self.inner.open_append, name)
-
-    def open_read(self, name: str) -> IO[bytes]:
-        return self._call("open_read", name, self.inner.open_read, name)
-
-    def read_range(self, name: str, start: int,
-                   end: Optional[int] = None) -> bytes:
-        return self._call(
-            "read_range", name, self.inner.read_range, name, start, end
-        )
-
-    def size(self, name: str) -> Optional[int]:
-        return self._call("size", name, self.inner.size, name)
-
-    def list(self, prefix: str = "") -> List[str]:
-        return self._call("list", prefix, self.inner.list, prefix)
-
-    def put_bytes(self, name: str, data: bytes) -> None:
-        return self._call("put_bytes", name, self.inner.put_bytes, name, data)
-
-    def delete(self, name: str) -> None:
-        return self._call("delete", name, self.inner.delete, name)
-
-    def path(self, name: str) -> Optional[str]:
-        # Pure metadata, no I/O in either shipped store; still routed
-        # through the inner store so local paths resolve correctly.
-        return self.inner.path(name)

@@ -108,6 +108,53 @@ class LogStore(ABC):
         return self.exists(name)
 
 
+class WrappedStore(LogStore):
+    """A store that sends every I/O primitive of ``inner`` through ``_call``.
+
+    The one delegation table behind the retrying store
+    (:class:`repro.serve.retry.RetryingStore`) and the brownout injector
+    (:class:`repro.faults.inject.FlakyStore`): a subclass overrides only
+    ``_call(op, name, fn, *args)``, which must return ``fn(*args)``.
+    ``path`` is metadata with no I/O in either shipped store, so it goes
+    straight to ``inner``.  The conveniences (``get_json``, ``set_flag``,
+    ...) route through the wrapped primitives as on any store.
+    """
+
+    def __init__(self, inner: LogStore):
+        self.inner = inner
+
+    @abstractmethod
+    def _call(self, op: str, name: str, fn, *args):
+        """Run ``fn(*args)``, the primitive ``op`` on blob (or prefix) ``name``."""
+
+    def open_append(self, name: str) -> IO[bytes]:
+        return self._call("open_append", name, self.inner.open_append, name)
+
+    def open_read(self, name: str) -> IO[bytes]:
+        return self._call("open_read", name, self.inner.open_read, name)
+
+    def read_range(self, name: str, start: int,
+                   end: Optional[int] = None) -> bytes:
+        return self._call(
+            "read_range", name, self.inner.read_range, name, start, end
+        )
+
+    def size(self, name: str) -> Optional[int]:
+        return self._call("size", name, self.inner.size, name)
+
+    def list(self, prefix: str = "") -> List[str]:
+        return self._call("list", prefix, self.inner.list, prefix)
+
+    def put_bytes(self, name: str, data: bytes) -> None:
+        return self._call("put_bytes", name, self.inner.put_bytes, name, data)
+
+    def delete(self, name: str) -> None:
+        return self._call("delete", name, self.inner.delete, name)
+
+    def path(self, name: str) -> Optional[str]:
+        return self.inner.path(name)
+
+
 class LocalDirectoryStore(LogStore):
     """Blobs are files under ``root``; the single-box production store."""
 

@@ -21,8 +21,9 @@ rather than heuristic: a restarted producer can never double-append or
 skip a record without breaking the chain it is extending.
 
 :class:`ProducerSupervisor` wraps the fork/monitor/salvage/restart loop
-with bounded seeded-jitter exponential backoff between attempts and a
-**give-up ledger**: every death, restart and terminal surrender is recorded
+with bounded seeded-jitter exponential backoff between attempts (the one
+:class:`~repro.concurrency.resilient.RetryPolicy`) and a **give-up
+ledger**: every death, restart and terminal surrender is recorded
 (and published to ``<session>/RESTARTS.json``) so an operator can see what
 the supervisor absorbed.  The daemon's :class:`~repro.serve.daemon.ServeSession`
 treats the supervisor as its producer handle -- ``is_alive()`` stays true
@@ -32,11 +33,12 @@ supervisor has truly given up.
 
 from __future__ import annotations
 
-import random
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..concurrency.resilient import RetryPolicy, fork_context
 from ..core.log import PROLOGUE_SIZE, ChainDecoder, LogFormatError, read_prologue
 from .shard import manifest_name, restarts_name, shard_name
 from .store import LogStore
@@ -122,33 +124,6 @@ def salvage_session(
 
 
 @dataclass
-class SupervisionPolicy:
-    """Restart pacing: bounded retries, exponential backoff, seeded jitter.
-
-    Attempt ``n >= 1`` waits ``min(backoff_max, backoff_base *
-    backoff_factor**(n-1))`` stretched by up to ``jitter`` (relative),
-    drawn deterministically from ``seed`` and the attempt number -- the
-    same replayable policy shape as the resilient pool's
-    :class:`~repro.concurrency.resilient.RetryPolicy`.
-    """
-
-    max_restarts: int = 2
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 1.0
-    jitter: float = 0.5
-    seed: int = 0
-
-    def backoff(self, attempt: int) -> float:
-        base = min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** (attempt - 1),
-        )
-        rng = random.Random(f"{self.seed}:restart:{attempt}")
-        return base * (1.0 + self.jitter * rng.random())
-
-
-@dataclass
 class SupervisorState:
     """What the supervisor did, for the ledger and the session stats."""
 
@@ -169,6 +144,10 @@ class ProducerSupervisor:
     goes false -- the daemon then concludes the session through its normal
     dead-producer path.
 
+    ``policy`` paces restarts: at most ``max_retries`` of them, restart
+    ``n`` after ``policy.delay("restart", n)`` seconds.  A policy with a
+    ``timeout`` is refused, because nothing bounds a producer attempt.
+
     ``kill_after`` is the fault hook: the *first* attempt's producer dies
     (``os._exit``) after that many appended-and-flushed records; restarts
     run clean, mirroring the transient-fault model everywhere else in
@@ -186,9 +165,8 @@ class ProducerSupervisor:
         sync: bool = False,
         batch_records: int = 64,
         run_kwargs: Optional[dict] = None,
-        policy: Optional[SupervisionPolicy] = None,
+        policy: Optional[RetryPolicy] = None,
         kill_after: Optional[int] = None,
-        ctx=None,
     ):
         from .store import LocalDirectoryStore
 
@@ -205,20 +183,15 @@ class ProducerSupervisor:
         self.sync = sync
         self.batch_records = batch_records
         self.run_kwargs = dict(run_kwargs or {})
-        self.policy = policy or SupervisionPolicy(seed=seed)
+        self.policy = policy or RetryPolicy(seed=seed)
+        if self.policy.timeout is not None:
+            raise ValueError(
+                "ProducerSupervisor cannot enforce a per-attempt timeout"
+            )
         self.kill_after = kill_after
-        if ctx is None:
-            import multiprocessing
-
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX fallback
-                ctx = multiprocessing.get_context()
-        self._ctx = ctx
         self.state = SupervisorState()
         self._process = None
         self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
         self._done = threading.Event()
 
     # -- the process handle the daemon polls --------------------------------
@@ -249,7 +222,7 @@ class ProducerSupervisor:
     def _spawn(self, attempt: int, resume: Optional[Dict[int, dict]]):
         from .producer import _producer_main
 
-        process = self._ctx.Process(
+        process = fork_context().Process(
             target=_producer_main,
             args=(
                 self._local_root(), self.session, self.program, self.seed,
@@ -274,6 +247,9 @@ class ProducerSupervisor:
         self._thread.start()
 
     def _publish_ledger(self) -> None:
+        # Best-effort, and broad on purpose: the monitor calls this in its
+        # ``finally`` before ``_done.set()``, so an escaping error would
+        # keep ``is_alive()`` true until the session's idle timeout.
         try:
             self.store.put_json(restarts_name(self.session), {
                 "session": self.session,
@@ -282,30 +258,29 @@ class ProducerSupervisor:
                 "succeeded": self.state.succeeded,
                 "events": self.state.ledger,
             })
-        except Exception:  # pragma: no cover - ledger is best-effort
+        except Exception:
             pass
 
     def _monitor(self) -> None:
         attempt = 0
         try:
-            while not self._stop.is_set():
+            while True:
                 self._process.join()
                 if self.store.exists(manifest_name(self.session)):
                     self.state.succeeded = True
                     return
                 exitcode = self._process.exitcode
-                if attempt >= self.policy.max_restarts:
+                if attempt >= self.policy.max_retries:
                     self.state.gave_up = True
                     self.state.ledger.append({
                         "event": "gave_up",
                         "attempt": attempt,
                         "exitcode": exitcode,
-                        "max_restarts": self.policy.max_restarts,
+                        "max_restarts": self.policy.max_retries,
                     })
                     return
-                delay = self.policy.backoff(attempt + 1)
-                if self._stop.wait(delay):
-                    return
+                delay = self.policy.delay("restart", attempt + 1)
+                time.sleep(delay)
                 salvages = salvage_session(
                     self.store, self.session, self.num_shards
                 )
@@ -341,11 +316,3 @@ class ProducerSupervisor:
                 process.terminate()
                 process.join()
         return self.state
-
-    def stop(self) -> None:
-        """Abort supervision (session torn down externally)."""
-        self._stop.set()
-        process = self._process
-        if process is not None and process.is_alive():
-            process.terminate()
-        self.finish(timeout=5.0)

@@ -8,6 +8,7 @@ single-process, single-log run of the same program and seed.
 
 import os
 import threading
+import time
 
 import pytest
 
@@ -38,12 +39,30 @@ def serve_in_process(store, session_name, seed, num_shards=3, **session_kw):
         store, session_name, PROG, seed=seed, num_shards=num_shards,
         run_kwargs=WORKLOAD, throttle=False,
     )
+    session_kw.setdefault("checker_factory", session_checkers(PROG)[0])
+    return ServeSession(store, session_name, num_shards, **session_kw).run()
+
+
+class _Slow:
+    """Delegating checker whose every ``feed`` first sleeps ``delay``
+    seconds: forces the checker lag that backpressure and shedding act on."""
+
+    def __init__(self, inner, delay):
+        self.inner = inner
+        self.delay = delay
+
+    def feed(self, records):
+        time.sleep(self.delay)
+        return self.inner.feed(records)
+
+    def __getattr__(self, attr):
+        return getattr(self.inner, attr)
+
+
+def slow_checkers(delay):
+    """A checker factory for ``PROG`` building :class:`_Slow` checkers."""
     checker_factory, _ = session_checkers(PROG)
-    session = ServeSession(
-        store, session_name, num_shards,
-        checker_factory=checker_factory, **session_kw,
-    )
-    return session.run()
+    return lambda: _Slow(checker_factory(), delay)
 
 
 def test_sharded_serve_matches_single_process_run():
@@ -87,11 +106,9 @@ def test_live_backpressure_preserves_signature():
             throttle=True, throttle_every=8, run_kwargs=workload,
         )
 
-    checker_factory, _ = session_checkers(PROG)
     session = ServeSession(
-        store, "s", 2, checker_factory=checker_factory,
-        queue_records=16, batch_records=4, checker_delay=0.02,
-        timeout=60.0,
+        store, "s", 2, checker_factory=slow_checkers(0.02),
+        queue_records=16, batch_records=4, timeout=60.0,
     )
     producer = threading.Thread(target=produce)
     producer.start()
@@ -532,11 +549,9 @@ def test_checker_lag_sheds_to_record_only_and_catches_up():
         store, "s", PROG, seed=3, num_shards=2, run_kwargs=WORKLOAD,
         throttle=False,
     )
-    checker_factory, _ = session_checkers(PROG)
     session = ServeSession(
-        store, "s", 2, checker_factory=checker_factory, timeout=20.0,
-        batch_records=4, checker_delay=0.05,
-        degrade_lag=8, degrade_after=0.05,
+        store, "s", 2, checker_factory=slow_checkers(0.05), timeout=20.0,
+        batch_records=4, degrade_lag=8, degrade_after=0.05,
     )
     result = session.run()
     assert result.ok, result.error
@@ -581,7 +596,7 @@ def test_queue_pressure_counters_surface_in_stats():
     store = ObjectStoreStub()
     result = serve_in_process(
         store, "s", seed=3, queue_records=8, batch_records=4,
-        checker_delay=0.005, timeout=20.0,
+        checker_factory=slow_checkers(0.005), timeout=20.0,
     )
     assert result.ok
     assert result.stats["queue_max_depth"] >= 1

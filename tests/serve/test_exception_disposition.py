@@ -34,6 +34,8 @@ from repro.serve import (
 )
 from repro.serve.daemon import FATAL_CHECKER_EXCEPTIONS
 
+from test_daemon import slow_checkers
+
 PROG = "multiset-vector"
 WORKLOAD = dict(num_threads=2, calls_per_thread=6)
 
@@ -249,7 +251,10 @@ def test_health_write_failure_is_counted_not_swallowed():
     pytest.param(3, {}, id="reading"),
     # a slow checker keeps the producer paused when the store gives up, so
     # clearing the pause flag fails too
-    pytest.param(10, {**_SMALL_QUEUE, "checker_delay": 0.01}, id="paused"),
+    pytest.param(
+        10, {**_SMALL_QUEUE, "checker_factory": slow_checkers(0.01)},
+        id="paused",
+    ),
     pytest.param(11, {}, id="auditing"),
 ])
 def test_store_give_up_during_ingest_is_the_session_error(
@@ -263,10 +268,9 @@ def test_store_give_up_during_ingest_is_the_session_error(
         throttle=False,
     )
     blackout = FaultPlan(faults=(Fault(STORE_OUTAGE, task=task, seconds=0.5),))
-    checker_factory, _ = session_checkers(PROG)
     session = ServeSession(
         RetryingStore(FlakyStore(store, blackout), retries=2), "s", 2,
-        checker_factory=checker_factory, **session_kw,
+        **{"checker_factory": session_checkers(PROG)[0], **session_kw},
     )
     result = _run_bounded(session)
     assert escaped == []

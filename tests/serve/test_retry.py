@@ -1,9 +1,18 @@
-"""RetryingStore: bounded retries, typed exhaustion, pass-through answers."""
+"""RetryingStore: bounded retries, typed exhaustion, pass-through answers.
+
+Also the one backoff: the pool, the producer supervisor and the retrying
+store all wait :meth:`RetryPolicy.delay`.
+"""
+
+import random
 
 import pytest
 
+from repro.concurrency import RetryPolicy
 from repro.serve import (
+    LocalDirectoryStore,
     ObjectStoreStub,
+    ProducerSupervisor,
     RetryingStore,
     StoreUnavailable,
     TransientStoreError,
@@ -134,3 +143,33 @@ def test_wrapped_store_serves_sessions_identically():
     assert wrapped.signature == bare.signature
     assert wrapped.outcome.to_dict() == bare.outcome.to_dict()
     assert "store" in wrapped.stats and "store" not in bare.stats
+
+
+def test_every_retry_delay_is_the_one_seeded_backoff(tmp_path):
+    """Every retrying layer waits the one seeded backoff, bit for bit:
+    ``base`` doubled per attempt up to ``cap``, stretched by up to 50%
+    jitter drawn from ``seed``, ``key`` and the attempt number."""
+
+    def oracle(base, cap, seed, key, n):
+        jitter = random.Random(f"{seed}:{key}:{n}").random()
+        return min(cap, base * 2.0 ** (n - 1)) * (1 + 0.5 * jitter)
+
+    store = LocalDirectoryStore(str(tmp_path))
+    for seed in (0, 7):
+        layers = [
+            (RetryPolicy(seed=seed), 0.05, 1.0),
+            (RetryingStore(ObjectStoreStub(), seed=seed).policy, 0.01, 0.25),
+            (ProducerSupervisor(
+                store, "s", "multiset-vector", seed, 2).policy, 0.05, 1.0),
+        ]
+        for policy, base, cap in layers:
+            for key in (0, 3, "restart"):
+                for n in range(1, 7):  # the cap binds at n = 6
+                    assert policy.delay(key, n) == oracle(
+                        base, cap, seed, key, n
+                    ), (policy, key, n)
+    with pytest.raises(ValueError):
+        ProducerSupervisor(
+            store, "s", "multiset-vector", 0, 2,
+            policy=RetryPolicy(timeout=1.0),
+        )

@@ -6,14 +6,16 @@ supervisor yields byte-identical shards -- and therefore signature, chain
 audit and verdict -- to an uninterrupted run of the same seed.
 """
 
+import threading
+
 import pytest
 
+from repro.concurrency import RetryPolicy
 from repro.core import verify_chain
 from repro.serve import (
     LocalDirectoryStore,
     ProducerSupervisor,
     ServeSession,
-    SupervisionPolicy,
     produce_session,
     restarts_name,
     salvage_shard,
@@ -37,13 +39,14 @@ def reference_serve(root, seed, **workload):
     ).run()
 
 
-def supervised_serve(root, seed, kill_after, *, max_restarts=2, **workload):
-    store = LocalDirectoryStore(root)
+def supervised_serve(root, seed, kill_after, *, max_restarts=2,
+                     store_class=LocalDirectoryStore, **workload):
+    store = store_class(root)
     supervisor = ProducerSupervisor(
         store, "sup", PROG, seed, 2,
         run_kwargs={**WORKLOAD, **workload},
-        policy=SupervisionPolicy(
-            max_restarts=max_restarts, seed=seed, backoff_base=0.01,
+        policy=RetryPolicy(
+            max_retries=max_restarts, seed=seed, backoff_base=0.01,
         ),
         kill_after=kill_after,
     )
@@ -125,7 +128,7 @@ def test_supervisor_gives_up_after_restart_budget(tmp_path):
     store = LocalDirectoryStore(str(tmp_path))
     supervisor = ProducerSupervisor(
         store, "sup", PROG, 3, 2, run_kwargs=WORKLOAD,
-        policy=SupervisionPolicy(max_restarts=0, seed=3),
+        policy=RetryPolicy(max_retries=0, seed=3),
         kill_after=5,
     )
     checker_factory, _ = session_checkers(PROG)
@@ -143,6 +146,30 @@ def test_supervisor_gives_up_after_restart_budget(tmp_path):
     ledger = store.get_json(restarts_name("sup"))
     assert ledger["gave_up"]
     assert any(e["event"] == "gave_up" for e in ledger["events"])
+
+
+class _LedgerRefusingStore(LocalDirectoryStore):
+    """A local store whose disk refuses the supervisor's restart ledger."""
+
+    def put_bytes(self, name, data):
+        if name == restarts_name("sup"):
+            raise OSError("ledger volume full")
+        super().put_bytes(name, data)
+
+
+def test_unwritable_ledger_does_not_disturb_the_restart(tmp_path, monkeypatch):
+    """The ledger is best-effort: a store refusing it must neither wedge
+    the monitor (its ``finally`` publishes before ``is_alive()`` goes
+    false) nor escape the monitor thread."""
+    escaped = []
+    monkeypatch.setattr(threading, "excepthook", escaped.append)
+    result, state, store = supervised_serve(
+        str(tmp_path), 3, 20, store_class=_LedgerRefusingStore
+    )
+    assert result.ok, result.error
+    assert state.restarts == 1 and state.succeeded and not state.gave_up
+    assert not store.exists(restarts_name("sup"))
+    assert escaped == []
 
 
 def test_supervisor_rejects_non_local_store():
