@@ -30,12 +30,25 @@ globally unique ``op_id`` linking its call, commit and return records.  The
 position of a record in the log is its global sequence number; records do not
 store it themselves.
 
-All records are immutable; payload values must themselves be immutable so the
-log is a faithful snapshot.
+Records are immutable by contract: nothing assigns a field after
+construction, and payload values must themselves be immutable so the log is
+a faithful snapshot.  The classes are plain (not frozen) dataclasses because
+the verification thread builds one record per logged action when it decodes
+a log, and a frozen dataclass's ``__init__`` pays an ``object.__setattr__``
+call per field; equality and hashing are still over the field values, so a
+record may key a dict or sit in a set.
+
+In a log file each record is ``pickle.dumps(record, PAYLOAD_PROTOCOL)``
+(:mod:`repro.core.log`), which names its class by the pickle extension code
+in :data:`EXTENSION_CODES` (PEP 307) rather than by module and class name.
+The codes are part of the log format.  A process must import :mod:`repro`
+(which registers them) before it unpickles a record; payloads written before
+the codes existed name their class and still load.
 """
 
 from __future__ import annotations
 
+import copyreg
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from operator import attrgetter
@@ -48,8 +61,8 @@ class Action:
     __slots__ = ()
 
     def __reduce__(self):
-        # frozen dataclasses with manual __slots__ need explicit pickle
-        # support (LogWriter serializes records with pickle)
+        # the class and its field values: a smaller pickle than the default
+        # slots state, and the one every log payload and signature hashes
         cls = type(self)
         return (cls, _field_values(cls)(self))
 
@@ -79,7 +92,7 @@ def _field_values(cls: type) -> attrgetter:
     return attrgetter(*(f.name for f in fields(cls)))
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class CallAction(Action):
     """Public-method invocation by application thread ``tid``."""
 
@@ -91,7 +104,7 @@ class CallAction(Action):
     __slots__ = ("tid", "op_id", "method", "args")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ReturnAction(Action):
     """Public-method return.  Exceptional termination is modelled by special
     return values (paper section 3), never by Python exceptions."""
@@ -104,7 +117,7 @@ class ReturnAction(Action):
     __slots__ = ("tid", "op_id", "method", "result")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class CommitAction(Action):
     """The annotated commit action of a method execution.
 
@@ -119,7 +132,7 @@ class CommitAction(Action):
     __slots__ = ("tid", "op_id")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class WriteAction(Action):
     """A write to the shared variable named ``loc``.
 
@@ -138,7 +151,7 @@ class WriteAction(Action):
     __slots__ = ("tid", "op_id", "loc", "old", "new")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class BeginCommitBlockAction(Action):
     tid: int
     op_id: Optional[int]
@@ -146,7 +159,7 @@ class BeginCommitBlockAction(Action):
     __slots__ = ("tid", "op_id")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class EndCommitBlockAction(Action):
     tid: int
     op_id: Optional[int]
@@ -154,7 +167,7 @@ class EndCommitBlockAction(Action):
     __slots__ = ("tid", "op_id")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ReplayAction(Action):
     """Coarse-grained log entry: ``tag`` selects a replay routine registered
     with the checker; ``payload`` is the immutable data that routine needs."""
@@ -167,7 +180,7 @@ class ReplayAction(Action):
     __slots__ = ("tid", "op_id", "tag", "payload")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ReadAction(Action):
     """A shared-variable read (logged only when read logging is enabled;
     needed by the Atomizer-style atomicity baseline's race detection)."""
@@ -179,7 +192,7 @@ class ReadAction(Action):
     __slots__ = ("tid", "op_id", "loc")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class AcquireAction(Action):
     """A lock acquisition (``mode``: ``"x"`` exclusive, ``"r"``/``"w"`` for
     reader-writer locks).  Logged at grant time, outermost level only."""
@@ -190,7 +203,7 @@ class AcquireAction(Action):
     mode: str = "x"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ReleaseAction(Action):
     """A lock release (outermost level only)."""
 
@@ -200,7 +213,7 @@ class ReleaseAction(Action):
     mode: str = "x"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SpawnAction(Action):
     """Thread ``tid`` spawned simulated thread ``child_tid``.
 
@@ -215,7 +228,7 @@ class SpawnAction(Action):
     __slots__ = ("tid", "op_id", "child_tid")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class JoinAction(Action):
     """Thread ``tid`` observed the completion of thread ``child_tid`` via
     ``ctx.join`` (the join happens-before edge)."""
@@ -225,6 +238,34 @@ class JoinAction(Action):
     child_tid: int
 
     __slots__ = ("tid", "op_id", "child_tid")
+
+
+#: The pickle extension code of each record type, in declaration order, from
+#: the range copyreg reserves for private use (240-255).  ``pickle.dumps``
+#: writes a record's class as a two-byte ``EXT1`` opcode instead of its
+#: module and name, and ``pickle.loads`` takes the class from copyreg's
+#: extension cache instead of importing it.  A code is part of the log
+#: format: it is never reassigned, and a retired type's code is not reused.
+EXTENSION_CODES: Dict[type, int] = {
+    CallAction: 240,
+    ReturnAction: 241,
+    CommitAction: 242,
+    WriteAction: 243,
+    BeginCommitBlockAction: 244,
+    EndCommitBlockAction: 245,
+    ReplayAction: 246,
+    ReadAction: 247,
+    AcquireAction: 248,
+    ReleaseAction: 249,
+    SpawnAction: 250,
+    JoinAction: 251,
+}
+
+for _cls, _code in EXTENSION_CODES.items():
+    # copyreg refuses a code already registered under another name (a
+    # second copy of this module), and re-registering the same is a no-op
+    copyreg.add_extension(_cls.__module__, _cls.__qualname__, _code)
+del _cls, _code
 
 
 @dataclass(frozen=True)

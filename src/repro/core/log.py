@@ -198,9 +198,19 @@ PROLOGUE_SIZE = len(LOG_MAGIC2) + _SHARD_PROLOGUE.size
 #: Bytes of a chained frame before its payload: header + previous digest.
 FRAME_FIXED = _CHAIN_HEADER.size + _DIGEST_SIZE
 
+#: The pickle protocol of every record payload, and so of every frame and
+#: signature: a fixed number, not ``pickle.HIGHEST_PROTOCOL``, so a Python
+#: that adds a protocol does not change them.
+PAYLOAD_PROTOCOL = 5
+
 #: :func:`log_signature`'s framing: each record's byte length, then the count.
 _SIGNED_LENGTH = struct.Struct("<I")
 _SIGNED_COUNT = struct.Struct("<Q")
+
+#: Where a payload holds the ``EXT1`` opcode naming its record type: after
+#: the protocol (2 bytes) and frame (9 bytes) headers.  A payload written
+#: before records had extension codes names its class's module there.
+_TYPE_OPCODE = slice(11, 12)
 
 
 def genesis_digest(shard_id: int) -> bytes:
@@ -465,9 +475,10 @@ class LogWriter:
     rewrite breaks the chain.  ``chained`` accepts only True: the
     ``VYRDLOG1`` format is read-only.
 
-    Each payload is ``pickle.dumps(action, HIGHEST_PROTOCOL)``: a
-    self-contained pickle that any frame boundary can decode, and the very
-    bytes :func:`log_signature` hashes for the record.
+    Each payload is ``pickle.dumps(action, PAYLOAD_PROTOCOL)``: a
+    self-contained pickle that any frame boundary can decode, naming its
+    record type by extension code (:data:`~repro.core.actions.EXTENSION_CODES`),
+    and the very bytes :func:`log_signature` hashes for the record.
 
     ``sync=True`` makes :meth:`flush` an *acknowledgment point*: buffered
     frames are flushed and ``fsync``-ed, so records written before a flush
@@ -511,7 +522,7 @@ class LogWriter:
         return self._prev_digest.hex()
 
     def write(self, action: Action, seq: Optional[int] = None) -> None:
-        payload = pickle.dumps(action, protocol=pickle.HIGHEST_PROTOCOL)
+        payload = pickle.dumps(action, PAYLOAD_PROTOCOL)
         if seq is None:
             seq = self._next_seq
         self._next_seq = seq + 1
@@ -880,8 +891,8 @@ class LogSigner:
 
     Each record's pickled payload is framed by its ``<I`` byte length; the
     ``<Q`` record count closes the digest.  :func:`log_signature` pickles
-    records into it; the serve merge feeds it the frame payloads its tails
-    already read, so both sign the same bytes.
+    records into it; the serve merge feeds it the frames its tails already
+    read (:meth:`add_frames`), so both sign the same bytes.
     """
 
     __slots__ = ("_digest", "count")
@@ -898,6 +909,21 @@ class LogSigner:
             parts.append(payload)
         self._digest.update(b"".join(parts))
         self.count += len(parts) // 2
+
+    def add_frames(self, frames: Iterable[Tuple[int, Action, bytes]]) -> None:
+        """Fold a batch of decoded ``(seq, action, payload)`` frames in.
+
+        A payload that names its record type by extension code is the very
+        pickle :func:`log_signature` makes of its record, so it is signed as
+        read.  One written before the codes names its class instead, so its
+        record is pickled again: a signature does not depend on when the
+        frames it covers were written."""
+        ext1 = pickle.EXT1
+        self.add([
+            payload if payload[_TYPE_OPCODE] == ext1
+            else pickle.dumps(action, PAYLOAD_PROTOCOL)
+            for _seq, action, payload in frames
+        ])
 
     def hexdigest(self) -> str:
         """The signature of every record added so far."""
@@ -916,7 +942,7 @@ def log_signature(records: Iterable[Action]) -> str:
     """
     signer = LogSigner()
     for action in records:
-        signer.add((pickle.dumps(action, protocol=pickle.HIGHEST_PROTOCOL),))
+        signer.add((pickle.dumps(action, PAYLOAD_PROTOCOL),))
     return signer.hexdigest()
 
 

@@ -20,7 +20,9 @@ Records are pushed as ``(seq, action, payload)`` -- what
 emitted: their payload bytes fold into one running
 :class:`~repro.core.log.LogSigner`, the signer behind
 :func:`~repro.core.log.log_signature`, so :meth:`StreamMerger.signature` is
-the canonical history's signature without pickling a record again.
+the canonical history's signature without pickling a record again (only a
+shard written before records had extension codes has its records pickled
+again, see :meth:`~repro.core.log.LogSigner.add_frames`).
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ class StreamMerger:
             ready.append(queues[hit].popleft())
             self.next_seq += 1
         if ready:
-            self._signer.add([item[2] for item in ready])
+            self._signer.add_frames(ready)
         return [item[1] for item in ready]
 
     def signature(self) -> str:

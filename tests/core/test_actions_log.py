@@ -12,6 +12,7 @@ from repro.core import (
     Action,
     BeginCommitBlockAction,
     CallAction,
+    CheckPlan,
     CommitAction,
     EndCommitBlockAction,
     JoinAction,
@@ -34,6 +35,7 @@ from repro.core import (
 from repro.core.log import (
     _CHAIN_HEADER,
     FRAME_FIXED,
+    PAYLOAD_PROTOCOL,
     PROLOGUE_SIZE,
     ChainDecoder,
     LogFormatError,
@@ -219,13 +221,13 @@ def _frame_payloads(path):
 
 
 def _dumps(actions):
-    return [pickle.dumps(action, pickle.HIGHEST_PROTOCOL) for action in actions]
+    return [pickle.dumps(action, PAYLOAD_PROTOCOL) for action in actions]
 
 
 @pytest.mark.parametrize("program", sorted(PROGRAMS))
 def test_frame_payloads_are_pickle_dumps(program, tmp_path):
     """Each frame ``LogWriter`` writes carries ``pickle.dumps`` of its
-    record: the bytes ``log_signature`` hashes."""
+    record at ``PAYLOAD_PROTOCOL``: the bytes ``log_signature`` hashes."""
     for buggy in (False, True):
         log = run_program(program, buggy=buggy, num_threads=3,
                           calls_per_thread=6, seed=1, log_locks=True,
@@ -298,6 +300,44 @@ def test_reduce_is_type_and_field_values_for_every_action():
             expected = tuple(getattr(action, f.name) for f in fields(action))
             assert action.__reduce__() == (type(action), expected)
             assert pickle.loads(pickle.dumps(action)) == action
+
+
+@pytest.mark.parametrize("program", sorted(PROGRAMS))
+def test_checkers_leave_every_record_as_logged(program):
+    """Records are immutable by contract, not by ``frozen``: no checker a
+    plan builds assigns a field of a record it is fed, or changes a value
+    one holds."""
+    def values(action):
+        return [getattr(action, f.name) for f in fields(action)]
+
+    log = run_program(program, num_threads=3, calls_per_thread=6, seed=1,
+                      log_locks=True, log_reads=True).log
+    snapshot = [(action, values(action), pickle.dumps(action)) for action in log]
+    for mode in ("view", "both"):
+        CheckPlan.for_program(program, mode, races="both").check(log)
+    for action, before, payload in snapshot:
+        assert all(a is b for a, b in zip(values(action), before)), action
+        assert pickle.dumps(action) == payload, action
+
+
+def test_records_hash_by_value_and_compare_by_type():
+    """Equal records hash equal; records of different types never compare
+    equal, even with equal field values."""
+    pairs = [
+        (BeginCommitBlockAction(0, 1), EndCommitBlockAction(0, 1)),
+        (CommitAction(0, 1), BeginCommitBlockAction(0, 1)),
+        (AcquireAction(0, 1, "l"), ReleaseAction(0, 1, "l")),
+        (SpawnAction(0, None, 3), JoinAction(0, None, 3)),
+        (CallAction(0, 1, "m", ()), ReturnAction(0, 1, "m", ())),
+    ]
+    for left, right in pairs:
+        assert left != right and right != left
+        assert len({left, right}) == 2
+        for record in (left, right):
+            twin = pickle.loads(pickle.dumps(record))
+            assert twin == record and twin is not record
+            assert hash(twin) == hash(record)
+            assert {record: "x"}[twin] == "x"
 
 
 def test_interleaved_write_and_write_all_round_trip(tmp_path):

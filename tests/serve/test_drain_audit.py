@@ -11,7 +11,12 @@ import pickle
 
 import pytest
 
-from repro.core.log import ChainDecoder, log_signature, verify_chain
+from repro.core.log import (
+    PAYLOAD_PROTOCOL,
+    ChainDecoder,
+    log_signature,
+    verify_chain,
+)
 from repro.harness.runner import run_program
 from repro.harness.workload import PROGRAMS
 from repro.serve import (
@@ -59,9 +64,9 @@ def test_frame_payloads_round_trip_through_pickle(program):
             while items:
                 for _seq, action, payload in items:
                     again = pickle.dumps(pickle.loads(payload),
-                                         pickle.HIGHEST_PROTOCOL)
+                                         PAYLOAD_PROTOCOL)
                     assert again == payload
-                    assert pickle.dumps(action, pickle.HIGHEST_PROTOCOL) == payload
+                    assert pickle.dumps(action, PAYLOAD_PROTOCOL) == payload
                 frames += len(items)
                 items = tail.poll()
             assert tail.error is None

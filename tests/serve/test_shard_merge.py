@@ -12,6 +12,7 @@ from repro.core import (
     log_signature,
     verify_chain,
 )
+from repro.core.log import PAYLOAD_PROTOCOL
 from repro.serve import (
     MergeError,
     ObjectStoreStub,
@@ -40,7 +41,7 @@ def spool(store, session, records, num_shards, **kw):
 def frames(pairs):
     """``(seq, action, payload)`` items, the shape a tail yields."""
     return [
-        (seq, action, pickle.dumps(action, pickle.HIGHEST_PROTOCOL))
+        (seq, action, pickle.dumps(action, PAYLOAD_PROTOCOL))
         for seq, action in pairs
     ]
 
@@ -181,7 +182,7 @@ def test_tail_split_at_every_offset_keeps_payloads_and_audit():
     assert [action for _seq, action, _payload in items] == records
     expected = whole.audit(io.BytesIO(body), head)
     assert expected is not None and expected.records == len(records)
-    payloads = [pickle.dumps(a, pickle.HIGHEST_PROTOCOL) for a in records]
+    payloads = [pickle.dumps(a, PAYLOAD_PROTOCOL) for a in records]
     longest = max(map(len, payloads))
     for max_bytes in range(1, longest + 100):
         tail = ShardTail(store, "s", 0)
