@@ -192,7 +192,18 @@ class ReadAction(Action):
     __slots__ = ("tid", "op_id", "loc")
 
 
-@dataclass(unsafe_hash=True)
+def _lock_record_init(self, tid: int, op_id: Optional[int], lock: str,
+                      mode: str = "x") -> None:
+    """The ``__init__`` of the two lock records, written out because a
+    dataclass default for ``mode`` would be a class attribute colliding
+    with its slot (``dataclass(slots=True)`` needs Python 3.10)."""
+    self.tid = tid
+    self.op_id = op_id
+    self.lock = lock
+    self.mode = mode
+
+
+@dataclass(unsafe_hash=True, init=False)
 class AcquireAction(Action):
     """A lock acquisition (``mode``: ``"x"`` exclusive, ``"r"``/``"w"`` for
     reader-writer locks).  Logged at grant time, outermost level only."""
@@ -200,17 +211,23 @@ class AcquireAction(Action):
     tid: int
     op_id: Optional[int]
     lock: str
-    mode: str = "x"
+    mode: str
+
+    __slots__ = ("tid", "op_id", "lock", "mode")
+    __init__ = _lock_record_init
 
 
-@dataclass(unsafe_hash=True)
+@dataclass(unsafe_hash=True, init=False)
 class ReleaseAction(Action):
     """A lock release (outermost level only)."""
 
     tid: int
     op_id: Optional[int]
     lock: str
-    mode: str = "x"
+    mode: str
+
+    __slots__ = ("tid", "op_id", "lock", "mode")
+    __init__ = _lock_record_init
 
 
 @dataclass(unsafe_hash=True)

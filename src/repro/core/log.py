@@ -58,6 +58,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, List, Optional, Tuple
 
 from .actions import (
+    EXTENSION_CODES,
     AcquireAction,
     Action,
     BeginCommitBlockAction,
@@ -71,6 +72,7 @@ from .actions import (
     ReturnAction,
     SpawnAction,
     WriteAction,
+    _field_values,
     subclass_entry,
 )
 
@@ -203,6 +205,29 @@ FRAME_FIXED = _CHAIN_HEADER.size + _DIGEST_SIZE
 #: that adds a protocol does not change them.
 PAYLOAD_PROTOCOL = 5
 
+#: Bytes of a payload before its frame's body: ``PROTO 5``, then ``FRAME``
+#: and its 8-byte length.
+_PICKLE_HEAD = 11
+
+#: What :func:`record_payload` writes around a field tuple's pickle body:
+#: the protocol and frame opcodes before the frame length, and after the
+#: body the ``REDUCE`` that calls the class, its ``MEMOIZE`` and ``STOP``.
+_PAYLOAD_OPEN = pickle.PROTO + bytes((PAYLOAD_PROTOCOL,)) + pickle.FRAME
+_PAYLOAD_CLOSE = pickle.REDUCE + pickle.MEMOIZE + pickle.STOP
+_FRAME_LENGTH = struct.Struct("<Q").pack
+
+#: Per record type, the ``EXT1`` opcode naming it and the getter of its field
+#: values (the tuple ``Action.__reduce__`` returns).
+_PAYLOAD_PARTS = {
+    cls: (pickle.EXT1 + bytes((code,)), _field_values(cls))
+    for cls, code in EXTENSION_CODES.items()
+}
+
+#: The pickler commits a frame once it holds this many bytes, and writes a
+#: str or bytes this long or longer outside any frame.  A payload whose
+#: frame stays shorter is one frame with every value inside it.
+_FRAME_TARGET = 64 << 10
+
 #: :func:`log_signature`'s framing: each record's byte length, then the count.
 _SIGNED_LENGTH = struct.Struct("<I")
 _SIGNED_COUNT = struct.Struct("<Q")
@@ -210,7 +235,35 @@ _SIGNED_COUNT = struct.Struct("<Q")
 #: Where a payload holds the ``EXT1`` opcode naming its record type: after
 #: the protocol (2 bytes) and frame (9 bytes) headers.  A payload written
 #: before records had extension codes names its class's module there.
-_TYPE_OPCODE = slice(11, 12)
+_TYPE_OPCODE = slice(_PICKLE_HEAD, _PICKLE_HEAD + 1)
+
+
+def record_payload(action) -> bytes:
+    """A record's frame payload: exactly ``pickle.dumps(action,
+    PAYLOAD_PROTOCOL)``, built without pickling the class.
+
+    To save a class, the pickler imports its module and looks the class up
+    before it consults the extension table, and that costs more than
+    pickling a record's fields.  A record of one of the twelve types instead
+    pickles its field tuple and splices the tuple's body between
+    ``PROTO 5, FRAME n+4, EXT1 <code>`` and ``REDUCE, MEMOIZE, STOP``: the
+    bytes the pickler writes itself, since an extension-coded class takes
+    no memo slot.  Anything else -- a subclass, a value that is not a
+    record, a record whose frame would reach the pickler's 64 KiB frame
+    target -- goes through ``pickle.dumps``.
+    """
+    parts = _PAYLOAD_PARTS.get(type(action))
+    if parts is None:
+        return pickle.dumps(action, PAYLOAD_PROTOCOL)
+    ext, field_values = parts
+    fields = pickle.dumps(field_values(action), PAYLOAD_PROTOCOL)
+    # the record's frame: the tuple's without its STOP, plus the two bytes
+    # of EXT1 <code> and the three of REDUCE, MEMOIZE, STOP
+    length = len(fields) - _PICKLE_HEAD + 4
+    if length >= _FRAME_TARGET:
+        return pickle.dumps(action, PAYLOAD_PROTOCOL)
+    return b"".join((_PAYLOAD_OPEN, _FRAME_LENGTH(length), ext,
+                     fields[_PICKLE_HEAD:-1], _PAYLOAD_CLOSE))
 
 
 def genesis_digest(shard_id: int) -> bytes:
@@ -475,10 +528,11 @@ class LogWriter:
     rewrite breaks the chain.  ``chained`` accepts only True: the
     ``VYRDLOG1`` format is read-only.
 
-    Each payload is ``pickle.dumps(action, PAYLOAD_PROTOCOL)``: a
-    self-contained pickle that any frame boundary can decode, naming its
-    record type by extension code (:data:`~repro.core.actions.EXTENSION_CODES`),
-    and the very bytes :func:`log_signature` hashes for the record.
+    Each payload is :func:`record_payload` of its record, equal to
+    ``pickle.dumps(action, PAYLOAD_PROTOCOL)``: a self-contained pickle that
+    any frame boundary can decode, naming its record type by extension code
+    (:data:`~repro.core.actions.EXTENSION_CODES`), and the very bytes
+    :func:`log_signature` hashes for the record.
 
     ``sync=True`` makes :meth:`flush` an *acknowledgment point*: buffered
     frames are flushed and ``fsync``-ed, so records written before a flush
@@ -522,7 +576,7 @@ class LogWriter:
         return self._prev_digest.hex()
 
     def write(self, action: Action, seq: Optional[int] = None) -> None:
-        payload = pickle.dumps(action, PAYLOAD_PROTOCOL)
+        payload = record_payload(action)
         if seq is None:
             seq = self._next_seq
         self._next_seq = seq + 1
@@ -920,8 +974,7 @@ class LogSigner:
         frames it covers were written."""
         ext1 = pickle.EXT1
         self.add([
-            payload if payload[_TYPE_OPCODE] == ext1
-            else pickle.dumps(action, PAYLOAD_PROTOCOL)
+            payload if payload[_TYPE_OPCODE] == ext1 else record_payload(action)
             for _seq, action, payload in frames
         ])
 
@@ -942,7 +995,7 @@ def log_signature(records: Iterable[Action]) -> str:
     """
     signer = LogSigner()
     for action in records:
-        signer.add((pickle.dumps(action, PAYLOAD_PROTOCOL),))
+        signer.add((record_payload(action),))
     return signer.hexdigest()
 
 

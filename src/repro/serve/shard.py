@@ -66,6 +66,8 @@ def restarts_name(session: str) -> str:
 class ShardWriter:
     """Appends chained frames for one shard, batching flushes.
 
+    Each append frames its record at once and writes the frame to the file
+    object, so a record that cannot be pickled fails its own append.
     Frames buffer in the file object until ``batch_records`` have
     accumulated, then one ``flush`` pushes them out (and ``fsync``s when
     ``sync=True``).  ``acked`` counts the records known durable -- the

@@ -340,6 +340,30 @@ def test_records_hash_by_value_and_compare_by_type():
             assert {record: "x"}[twin] == "x"
 
 
+def test_no_record_type_carries_a_dict():
+    """Every record type keeps its fields in slots: no instance has a
+    ``__dict__``, the lock records included, whose ``mode`` still defaults
+    to ``"x"``."""
+    from repro.core.actions import EXTENSION_CODES
+
+    records = [
+        CallAction(0, 1, "m", ()), ReturnAction(0, 1, "m", None),
+        CommitAction(0, 1), WriteAction(0, 1, "x", None, 1),
+        BeginCommitBlockAction(0, 1), EndCommitBlockAction(0, 1),
+        ReplayAction(0, 1, "t", ()), ReadAction(0, 1, "x"),
+        AcquireAction(0, 1, "l"), ReleaseAction(0, 1, "l"),
+        SpawnAction(0, None, 1), JoinAction(0, None, 1),
+    ]
+    assert [type(record) for record in records] == list(EXTENSION_CODES)
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
+        assert type(record).__slots__ == tuple(f.name for f in fields(record))
+    for lock_type in (AcquireAction, ReleaseAction):
+        assert lock_type(0, 1, "l") == lock_type(0, 1, "l", "x")
+        assert lock_type(0, 1, "l").mode == "x"
+        assert lock_type(0, 1, lock="l", mode="r").mode == "r"
+
+
 def test_interleaved_write_and_write_all_round_trip(tmp_path):
     log = _sync_log()
     path = tmp_path / "mixed.vyrdlog"

@@ -1,25 +1,32 @@
 """Shard writers/tails and the deterministic sequence-number merge."""
 
+import dataclasses
 import io
 import pickle
 
 import pytest
 
+from repro.concurrency import SimThreadError
 from repro.core import (
     CallAction,
+    LogWriter,
     ReplayAction,
     WriteAction,
     log_signature,
     verify_chain,
 )
 from repro.core.log import PAYLOAD_PROTOCOL
+from repro.harness import run_program
+from repro.harness.workload import PROGRAMS, Program
 from repro.serve import (
+    LocalDirectoryStore,
     MergeError,
     ObjectStoreStub,
     ShardSet,
     ShardTail,
     StreamMerger,
     TeeLog,
+    produce_session,
     shard_name,
 )
 
@@ -160,6 +167,85 @@ def test_teelog_appends_to_log_and_shards():
     shards.close()
     assert list(tee) == records
     assert drain(store, "s", 2) == records
+
+
+@pytest.mark.parametrize("store_kind, batch_records, sync", [
+    ("object", 1, False), ("object", 7, False), ("local", 64, True),
+])
+def test_produced_shards_equal_frames_written_one_at_a_time(
+        store_kind, batch_records, sync, tmp_path):
+    """The tee routes each record to its shard's writer, which frames it
+    at once and flushes every ``batch_records``: each shard file is, byte
+    for byte, what ``LogWriter.write`` makes of the same ``(seq, record)``
+    pairs one record at a time, and the manifest's counts and heads are
+    its."""
+    store = (ObjectStoreStub() if store_kind == "object"
+             else LocalDirectoryStore(str(tmp_path)))
+    kwargs = {"num_threads": 3, "calls_per_thread": 8, "log_locks": True,
+              "log_reads": True}
+    manifest = produce_session(store, "s", "cache", seed=3, num_shards=2,
+                               sync=sync, batch_records=batch_records,
+                               run_kwargs=kwargs)
+    log = run_program("cache", seed=3, **kwargs).log
+    buffers = [io.BytesIO(), io.BytesIO()]
+    writers = [LogWriter(buffer, shard_id=i) for i, buffer in enumerate(buffers)]
+    for seq, action in enumerate(log):
+        writers[action.tid % 2].write(action, seq=seq)
+    assert manifest["records"] == len(log)
+    for entry, writer, buffer in zip(manifest["shards"], writers, buffers):
+        assert writer.records_written > batch_records
+        assert store.get_bytes(entry["name"]) == buffer.getvalue()
+        assert entry["records"] == writer.records_written
+        assert entry["head_digest"] == writer.head_digest
+
+
+def _unpicklable_replay_program(payload, loggers):
+    """multiset-vector whose worker 1 logs a replay record carrying
+    ``payload`` after its first call, then carries on calling."""
+    base = PROGRAMS["multiset-vector"]
+
+    def build(buggy, num_threads):
+        built = base.build(buggy, num_threads)
+
+        def make_worker(vds, rng, index, calls):
+            first = built.make_worker(vds, rng, index, 1)
+            rest = built.make_worker(vds, rng, index, calls - 1)
+
+            def body(ctx):
+                yield from first(ctx)
+                if index == 1:
+                    loggers.append(ctx.tid)
+                    yield ctx.replay("opaque", payload)
+                yield from rest(ctx)
+
+            return body
+
+        return dataclasses.replace(built, make_worker=make_worker)
+
+    return Program(name="unpicklable-replay",
+                   bug="replay payload that cannot be pickled (test fixture)",
+                   build=build)
+
+
+def test_unpicklable_replay_fails_the_producer_at_its_own_append(monkeypatch):
+    """A record that cannot be pickled fails the append that logs it, in
+    the kernel step of the thread that logged it: the run stops with a
+    ``SimThreadError`` naming that thread, although no flush falls due
+    before the session would close."""
+    payload = lambda: None  # noqa: E731 -- a value pickle cannot name
+    with pytest.raises(Exception) as direct:
+        pickle.dumps(ReplayAction(0, None, "opaque", payload), PAYLOAD_PROTOCOL)
+    loggers = []
+    program = _unpicklable_replay_program(payload, loggers)
+    monkeypatch.setitem(PROGRAMS, program.name, program)
+    with pytest.raises(SimThreadError) as excinfo:
+        produce_session(ObjectStoreStub(), "s", program.name, num_shards=2,
+                        batch_records=10_000,
+                        run_kwargs={"num_threads": 2, "calls_per_thread": 4})
+    assert loggers == [excinfo.value.thread.tid]
+    assert excinfo.value.thread.name == "app-1"
+    assert "'app-1'" in str(excinfo.value)
+    assert type(excinfo.value.__cause__) is type(direct.value)
 
 
 def test_tail_split_at_every_offset_keeps_payloads_and_audit():
