@@ -6,9 +6,9 @@ programs running on native threads; under CPython the GIL makes native-thread
 interleavings coarse and irreproducible, so this reproduction substitutes a
 *simulated* concurrency substrate (documented in DESIGN.md):
 
-* A *simulated thread* is a Python generator that ``yield``\\ s
-  :class:`Syscall` objects at every shared-memory access and synchronization
-  operation.
+* A *simulated thread* is a Python generator that ``yield``\\ s a syscall
+  at every shared-memory access and synchronization operation: a
+  :class:`Syscall` object, or the cell it reads or the lock it acquires.
 * The :class:`Kernel` executes one syscall at a time and asks a pluggable
   :class:`~repro.concurrency.schedulers.Scheduler` which runnable thread to
   resume next.  A seeded random scheduler therefore produces a fully
@@ -72,15 +72,20 @@ class Status(Enum):
 class Syscall:
     """Base class for every request a simulated thread can yield.
 
-    Reads, lock acquires and releases are nearly every kernel step, and
-    each builds a syscall, so every syscall type is a plain slotted class
-    with an ordinary ``__init__`` (a frozen dataclass costs two to three
-    and a half times as much to build).  Syscalls are immutable by
-    contract: nothing mutates, compares or hashes one.  The four that
-    carry no program object are shared constants (see :class:`ThreadCtx`).
-    The others are never cached on their cell, lock or condition: a
-    primitive holding a syscall that refers back to it is a reference
-    cycle, which would leave every run's program to the cyclic collector.
+    Reads and lock acquires are most kernel steps and carry nothing but
+    their primitive, so they build no syscall: ``cell.read()`` returns the
+    :class:`~repro.concurrency.memory.SharedCell` and ``lock.acquire()``
+    the :class:`~repro.concurrency.primitives.Lock`, and the handler table
+    maps each of those classes to its effect.  Every other syscall type is
+    a plain slotted class with an ordinary ``__init__`` (a frozen dataclass
+    costs two to three and a half times as much to build).  Syscalls are
+    immutable by contract: nothing mutates, compares or hashes one.  The
+    four that carry no program object are shared constants (see
+    :class:`ThreadCtx`).  The others are never cached on their cell, lock
+    or condition: a primitive holding a syscall that refers back to it is
+    a reference cycle, which would leave every run's program to the cyclic
+    collector.  That is why a release, which carries its ``commit`` flag,
+    still builds a :class:`ReleaseSys` per step.
     """
 
     __slots__ = ()
@@ -101,15 +106,6 @@ class Pass(Syscall):
     __slots__ = ()
 
 
-class ReadSys(Syscall):
-    """Read a :class:`SharedCell`; the cell's value is sent back."""
-
-    __slots__ = ("cell",)
-
-    def __init__(self, cell: Any):
-        self.cell = cell
-
-
 class WriteSys(Syscall):
     """Write ``value`` into ``cell``.
 
@@ -124,15 +120,6 @@ class WriteSys(Syscall):
         self.cell = cell
         self.value = value
         self.commit = commit
-
-
-class AcquireSys(Syscall):
-    """Acquire a reentrant :class:`~repro.concurrency.primitives.Lock`."""
-
-    __slots__ = ("lock",)
-
-    def __init__(self, lock: Any):
-        self.lock = lock
 
 
 class ReleaseSys(Syscall):
@@ -257,7 +244,15 @@ class Tracer:
     The kernel invokes these callbacks *atomically* with the corresponding
     effect (no other simulated thread can run in between), which gives the
     log-ordering guarantee of paper section 4.2 for free.
+
+    ``log_reads`` and ``log_locks`` say whether the tracer records shared
+    reads and lock grants and releases.  A kernel reads both once, when it
+    is built, and calls ``on_read`` only when ``log_reads`` is true and
+    ``on_acquire``/``on_release`` only when ``log_locks`` is true.
     """
+
+    log_reads = True
+    log_locks = True
 
     def on_write(self, tid: int, cell, old, new) -> None:  # pragma: no cover - interface
         pass
@@ -293,6 +288,9 @@ class Tracer:
 class NullTracer(Tracer):
     """A tracer that ignores every event (used when logging is disabled)."""
 
+    log_reads = False
+    log_locks = False
+
 
 # ---------------------------------------------------------------------------
 # Threads
@@ -313,7 +311,6 @@ class SimThread:
         "gen",
         "status",
         "send_value",
-        "throw_exc",
         "waiting_reason",
         "result",
         "exception",
@@ -328,7 +325,6 @@ class SimThread:
         self.gen = gen
         self.status = Status.READY
         self.send_value: Any = None
-        self.throw_exc: Optional[BaseException] = None
         self.waiting_reason: Optional[str] = None
         self.result: Any = None
         self.exception: Optional[BaseException] = None
@@ -440,6 +436,9 @@ class Kernel:
     ):
         self.scheduler: Scheduler = scheduler if scheduler is not None else RandomScheduler(seed)
         self.tracer: Tracer = tracer if tracer is not None else NullTracer()
+        # the read and lock handlers skip the hooks of events not recorded
+        self._log_reads = self.tracer.log_reads
+        self._log_locks = self.tracer.log_locks
         self.max_steps = max_steps
         self.obs: Recorder = obs if obs is not None else NULL_RECORDER
         if self.obs.enabled:
@@ -567,12 +566,8 @@ class Kernel:
         self.steps += 1
         self.current = thread
         try:
-            if thread.throw_exc is not None:
-                exc, thread.throw_exc = thread.throw_exc, None
-                syscall = thread.gen.throw(exc)
-            else:
-                value, thread.send_value = thread.send_value, None
-                syscall = thread.gen.send(value)
+            value, thread.send_value = thread.send_value, None
+            syscall = thread.gen.send(value)
         except StopIteration as stop:
             self._finish(thread, Status.DONE, result=stop.value)
             if self._step_listener is not None:
@@ -615,10 +610,6 @@ class Kernel:
     def _sys_pass(self, thread: SimThread, syscall: Pass) -> None:
         pass
 
-    def _sys_read(self, thread: SimThread, syscall: ReadSys) -> None:
-        thread.send_value = syscall.cell._value
-        self.tracer.on_read(thread.tid, syscall.cell)
-
     def _sys_write(self, thread: SimThread, syscall: WriteSys) -> None:
         cell = syscall.cell
         old = cell._value
@@ -626,9 +617,6 @@ class Kernel:
         self.tracer.on_write(thread.tid, cell, old, syscall.value)
         if syscall.commit:
             self.tracer.on_commit(thread.tid)
-
-    def _sys_acquire(self, thread: SimThread, syscall: AcquireSys) -> None:
-        syscall.lock._acquire(self, thread)
 
     def _sys_release(self, thread: SimThread, syscall: ReleaseSys) -> None:
         syscall.lock._release(self, thread)
@@ -695,11 +683,13 @@ class Kernel:
 
 
 #: Syscall type -> handler, in the order a subclass is matched against.
+#: A yielded :class:`~repro.concurrency.memory.SharedCell` is its own read
+#: and a yielded :class:`~repro.concurrency.primitives.Lock` its own
+#: acquire: ``memory.py`` and ``primitives.py`` register those two entries
+#: beside their classes, since both modules import this one.
 _HANDLERS: Dict[type, Callable[[Kernel, SimThread, Any], None]] = {
     Pass: Kernel._sys_pass,
-    ReadSys: Kernel._sys_read,
     WriteSys: Kernel._sys_write,
-    AcquireSys: Kernel._sys_acquire,
     ReleaseSys: Kernel._sys_release,
     RWBeginReadSys: Kernel._sys_begin_read,
     RWEndReadSys: Kernel._sys_end_read,

@@ -21,16 +21,17 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterator, List
 
-from .kernel import ReadSys, WriteSys
+from .kernel import _HANDLERS, Kernel, SimThread, WriteSys
 
 
 class SharedCell:
     """A single named shared variable.
 
-    ``read``/``write`` return syscalls to be yielded by simulated threads.
-    ``peek``/``poke`` access the value directly -- they bypass both the
-    scheduler and the log, and exist for initialization and for test
-    assertions *after* a run, never for use inside thread bodies.
+    ``read``/``write`` return syscalls to be yielded by simulated threads;
+    a read carries nothing but its cell, so the cell itself is the read
+    syscall.  ``peek``/``poke`` access the value directly -- they bypass
+    both the scheduler and the log, and exist for initialization and for
+    test assertions *after* a run, never for use inside thread bodies.
     """
 
     __slots__ = ("name", "_value")
@@ -39,8 +40,8 @@ class SharedCell:
         self.name = name
         self._value = value
 
-    def read(self) -> ReadSys:
-        return ReadSys(self)
+    def read(self) -> "SharedCell":
+        return self
 
     def write(self, value: Any, commit: bool = False) -> WriteSys:
         return WriteSys(self, value, commit)
@@ -53,6 +54,17 @@ class SharedCell:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SharedCell {self.name}={self._value!r}>"
+
+
+def _sys_read(kernel: Kernel, thread: SimThread, cell: SharedCell) -> None:
+    """A yielded cell: send its value back (and report the read if the
+    tracer records reads)."""
+    thread.send_value = cell._value
+    if kernel._log_reads:
+        kernel.tracer.on_read(thread.tid, cell)
+
+
+_HANDLERS[SharedCell] = _sys_read
 
 
 class SharedArray:

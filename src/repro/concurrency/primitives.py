@@ -1,10 +1,11 @@
 """Synchronization primitives for simulated threads.
 
-All primitives are *passive* objects: their methods return
-:class:`~repro.concurrency.kernel.Syscall` values that the simulated thread
-must ``yield``; the kernel performs the actual state transition.  This keeps
-every blocking decision inside the kernel, where the scheduler (and therefore
-the reproducible interleaving) lives.
+All primitives are *passive* objects: their methods return syscalls
+(:class:`~repro.concurrency.kernel.Syscall` values, or for ``acquire`` the
+lock itself) that the simulated thread must ``yield``; the kernel performs
+the actual state transition.  This keeps every blocking decision inside the
+kernel, where the scheduler (and therefore the reproducible interleaving)
+lives.
 
 * :class:`Lock` -- reentrant mutual exclusion, modelling Java ``synchronized``
   and .NET ``lock``.
@@ -20,7 +21,7 @@ from typing import Optional
 
 from .errors import LockError
 from .kernel import (
-    AcquireSys,
+    _HANDLERS,
     CondNotifySys,
     CondWaitSys,
     Kernel,
@@ -46,7 +47,9 @@ class Lock:
 
     ``release(commit=True)`` marks the release as the method execution's
     commit action (the paper notes the first lock release after the last
-    write to ``supp(view)`` is often the right commit point).
+    write to ``supp(view)`` is often the right commit point).  An acquire
+    carries nothing but its lock, so the lock itself is the acquire
+    syscall.
     """
 
     __slots__ = ("name", "owner", "depth", "waiters")
@@ -59,24 +62,13 @@ class Lock:
 
     # -- syscall constructors (yield these) --------------------------------
 
-    def acquire(self) -> AcquireSys:
-        return AcquireSys(self)
+    def acquire(self) -> "Lock":
+        return self
 
     def release(self, commit: bool = False) -> ReleaseSys:
         return ReleaseSys(self, commit)
 
     # -- kernel-side implementation -----------------------------------------
-
-    def _acquire(self, kernel: Kernel, thread: SimThread) -> None:
-        if self.owner is None:
-            self.owner = thread.tid
-            self.depth = 1
-            kernel.tracer.on_acquire(thread.tid, self)
-        elif self.owner == thread.tid:
-            self.depth += 1
-        else:
-            kernel.block(thread, f"lock({self.name})")
-            self.waiters.append(thread)
 
     def _release(self, kernel: Kernel, thread: SimThread) -> None:
         if self.owner != thread.tid:
@@ -87,13 +79,15 @@ class Lock:
         self.depth -= 1
         if self.depth > 0:
             return
-        kernel.tracer.on_release(thread.tid, self)
+        if kernel._log_locks:
+            kernel.tracer.on_release(thread.tid, self)
         if self.waiters:
             next_thread = self.waiters.popleft()
             self.owner = next_thread.tid
             self.depth = 1
             kernel.unblock(next_thread)
-            kernel.tracer.on_acquire(next_thread.tid, self)
+            if kernel._log_locks:
+                kernel.tracer.on_acquire(next_thread.tid, self)
         else:
             self.owner = None
 
@@ -103,6 +97,23 @@ class Lock:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Lock {self.name!r} owner={self.owner} depth={self.depth}>"
+
+
+def _sys_acquire(kernel: Kernel, thread: SimThread, lock: Lock) -> None:
+    """A yielded lock: take it, re-enter it, or block behind its owner."""
+    if lock.owner is None:
+        lock.owner = thread.tid
+        lock.depth = 1
+        if kernel._log_locks:
+            kernel.tracer.on_acquire(thread.tid, lock)
+    elif lock.owner == thread.tid:
+        lock.depth += 1
+    else:
+        kernel.block(thread, f"lock({lock.name})")
+        lock.waiters.append(thread)
+
+
+_HANDLERS[Lock] = _sys_acquire
 
 
 class RWLock:
@@ -145,7 +156,8 @@ class RWLock:
             return
         if self.writer is None and not self.write_waiters:
             self.readers[thread.tid] = 1
-            kernel.tracer.on_acquire(thread.tid, self, mode="r")
+            if kernel._log_locks:
+                kernel.tracer.on_acquire(thread.tid, self, mode="r")
         else:
             kernel.block(thread, f"rwlock-read({self.name})")
             self.read_waiters.append(thread)
@@ -161,13 +173,15 @@ class RWLock:
             self.readers[thread.tid] = depth - 1
             return
         del self.readers[thread.tid]
-        kernel.tracer.on_release(thread.tid, self, mode="r")
+        if kernel._log_locks:
+            kernel.tracer.on_release(thread.tid, self, mode="r")
         self._wake(kernel)
 
     def _begin_write(self, kernel: Kernel, thread: SimThread) -> None:
         if self.writer is None and not self.readers:
             self.writer = thread.tid
-            kernel.tracer.on_acquire(thread.tid, self, mode="w")
+            if kernel._log_locks:
+                kernel.tracer.on_acquire(thread.tid, self, mode="w")
         else:
             kernel.block(thread, f"rwlock-write({self.name})")
             self.write_waiters.append(thread)
@@ -179,7 +193,8 @@ class RWLock:
                 f"owned by tid {self.writer!r}"
             )
         self.writer = None
-        kernel.tracer.on_release(thread.tid, self, mode="w")
+        if kernel._log_locks:
+            kernel.tracer.on_release(thread.tid, self, mode="w")
         self._wake(kernel)
 
     def _wake(self, kernel: Kernel) -> None:
@@ -190,13 +205,15 @@ class RWLock:
             next_writer = self.write_waiters.popleft()
             self.writer = next_writer.tid
             kernel.unblock(next_writer)
-            kernel.tracer.on_acquire(next_writer.tid, self, mode="w")
+            if kernel._log_locks:
+                kernel.tracer.on_acquire(next_writer.tid, self, mode="w")
             return
         while self.read_waiters:
             reader = self.read_waiters.popleft()
             self.readers[reader.tid] = 1
             kernel.unblock(reader)
-            kernel.tracer.on_acquire(reader.tid, self, mode="r")
+            if kernel._log_locks:
+                kernel.tracer.on_acquire(reader.tid, self, mode="r")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

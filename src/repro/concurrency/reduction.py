@@ -55,10 +55,8 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .kernel import (
-    AcquireSys,
     CommitSys,
     Pass,
-    ReadSys,
     ReleaseSys,
     RWBeginReadSys,
     RWBeginWriteSys,
@@ -66,6 +64,8 @@ from .kernel import (
     RWEndWriteSys,
     WriteSys,
 )
+from .memory import SharedCell
+from .primitives import Lock
 from .schedulers import ReplayScheduler
 
 # Step descriptors: small picklable tuples naming the shared effect of one
@@ -79,15 +79,16 @@ Step = Tuple[Optional[str], tuple]
 
 
 def describe_syscall(syscall) -> tuple:
-    """Collapse a syscall to the shared effect that decides commutation."""
+    """Collapse a syscall to the shared effect that decides commutation
+    (a yielded cell is its read, a yielded lock its acquire)."""
     if isinstance(syscall, Pass):
         return PASS
-    if isinstance(syscall, ReadSys):
-        return ("read", syscall.cell.name)
+    if isinstance(syscall, SharedCell):
+        return ("read", syscall.name)
     if isinstance(syscall, WriteSys):
         return ("write", syscall.cell.name, bool(syscall.commit))
-    if isinstance(syscall, AcquireSys):
-        return ("lock", syscall.lock.name, False)
+    if isinstance(syscall, Lock):
+        return ("lock", syscall.name, False)
     if isinstance(syscall, ReleaseSys):
         return ("lock", syscall.lock.name, bool(syscall.commit))
     if isinstance(syscall, (RWBeginReadSys, RWEndReadSys, RWBeginWriteSys)):

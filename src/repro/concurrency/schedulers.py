@@ -57,6 +57,10 @@ class RoundRobinScheduler(Scheduler):
         return chosen
 
 
+#: ``n.bit_length()`` for every runnable-tuple length ``n`` below 1024.
+_BIT_LENGTH = tuple(n.bit_length() for n in range(1024))
+
+
 class RandomScheduler(Scheduler):
     """Uniform random scheduling from a seeded PRNG.
 
@@ -67,14 +71,18 @@ class RandomScheduler(Scheduler):
     def __init__(self, seed: int = 0):
         self.seed = seed
         self._rng = random.Random(seed)
+        self._getrandbits = self._rng.getrandbits  # bound once, not per pick
 
     def pick(self, runnable: Sequence, step: int):
         # ``Random.choice``'s own draw (rejection sampling on
         # ``getrandbits(n.bit_length())``) without its two Python frames:
         # the same PRNG stream, so the same schedule for every seed
-        getrandbits = self._rng.getrandbits
+        getrandbits = self._getrandbits
         n = len(runnable)
-        k = n.bit_length()
+        try:
+            k = _BIT_LENGTH[n]
+        except IndexError:  # more runnable threads than the table covers
+            k = n.bit_length()
         r = getrandbits(k)
         while r >= n:
             r = getrandbits(k)

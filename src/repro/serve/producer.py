@@ -52,7 +52,9 @@ def produce_session(
     re-executes deterministically but skips the appends already durable,
     extending each shard's hash chain from its salvaged head.  ``die_after``
     is the supervision fault hook: flush and ``os._exit`` after that many
-    appended records (see :class:`~repro.serve.shard.TeeLog`).
+    appended records (see :class:`~repro.serve.shard.TeeLog`).  A run that
+    raises leaves its shards flushed and closed, publishes no manifest and
+    re-raises its error.
     """
     from ..harness.runner import run_program  # late import: serve -> harness
 
@@ -67,7 +69,11 @@ def produce_session(
     gate = StoreThrottle(store, session) if throttle else None
     tee = TeeLog(shards, gate, throttle_every=throttle_every,
                  die_after=die_after)
-    result = run_program(program, seed=seed, log=tee, **kwargs)
+    try:
+        result = run_program(program, seed=seed, log=tee, **kwargs)
+    except BaseException:
+        shards.abort()  # no manifest: the session never completed
+        raise
     manifest = shards.close(extra={
         "program": program,
         "seed": seed,

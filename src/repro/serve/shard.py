@@ -26,6 +26,7 @@ exactly the digest the producer acknowledged.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import time
 from typing import IO, Dict, List, Optional, Tuple
@@ -130,12 +131,13 @@ class ShardWriter:
         self._unflushed = 0
 
     def close(self) -> Dict[str, object]:
-        """Flush, close, and return this shard's manifest entry."""
-        self.flush()
-        entry = self.manifest_entry()
-        self._writer.close()
-        self._file.close()
-        return entry
+        """Flush once (one ``fsync`` with ``sync=True``), close the file, and
+        return this shard's manifest entry."""
+        try:
+            self.flush()
+        finally:
+            self._file.close()
+        return self.manifest_entry()
 
     def manifest_entry(self) -> Dict[str, object]:
         return {
@@ -177,6 +179,13 @@ class ShardSet:
     def flush_all(self) -> None:
         for writer in self.writers:
             writer.flush()
+
+    def abort(self) -> None:
+        """Flush and close every shard and publish no manifest: the run
+        failed.  Each shard file keeps the whole frames written so far."""
+        with contextlib.ExitStack() as stack:
+            for writer in self.writers:
+                stack.callback(writer.close)
 
     def close(self, extra: Optional[dict] = None) -> dict:
         """Close every shard and publish the session manifest.

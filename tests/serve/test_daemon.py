@@ -19,6 +19,7 @@ from repro.serve import (
     ObjectStoreStub,
     ServeSession,
     manifest_name,
+    pause_name,
     produce_session,
     serve_campaign,
     session_checkers,
@@ -86,34 +87,94 @@ def test_shard_count_does_not_change_signature():
     assert len(signatures) == 1
 
 
+class _PauseHandshake(ObjectStoreStub):
+    """An object store on which the producer is sure to meet PAUSE.
+
+    The producer's throttle checks after its first ``free_checks`` wait
+    until the daemon has raised the flag, so the backlog that raises it
+    comes from records already spooled, and the checkers built by
+    :meth:`checkers` wait before each feed until a throttle check has found
+    the flag up, so the queue cannot drain to the low watermark (where the
+    flag drops) before the producer has met it.  A wait that outlasts
+    ``timeout`` seconds gives up and is listed in ``stalls``: a broken
+    handshake fails the test rather than hanging it.
+    """
+
+    def __init__(self, session, free_checks, timeout=20.0):
+        super().__init__()
+        self.flag = pause_name(session)
+        self.free_checks = free_checks
+        self.timeout = timeout
+        self.checks = 0
+        self.raised = threading.Event()
+        self.met = threading.Event()
+        self.stalls = []
+
+    def set_flag(self, name):
+        super().set_flag(name)
+        if name == self.flag:
+            self.raised.set()
+
+    def has_flag(self, name):  # only the producer's throttle asks
+        self.checks += 1
+        if self.checks > self.free_checks and not self.raised.wait(self.timeout):
+            self.stalls.append("the daemon never raised PAUSE")
+        up = super().has_flag(name)
+        if up and name == self.flag:
+            self.met.set()
+        return up
+
+    def checkers(self):
+        """A checker factory for ``PROG`` whose checkers wait for ``met``."""
+        checker_factory, _ = session_checkers(PROG)
+        return lambda: _AfterPause(checker_factory(), self)
+
+
+class _AfterPause:
+    """Delegating checker whose every ``feed`` first waits until the
+    producer has met the PAUSE flag of its :class:`_PauseHandshake`."""
+
+    def __init__(self, inner, handshake):
+        self.inner = inner
+        self.handshake = handshake
+
+    def feed(self, records):
+        handshake = self.handshake
+        if not handshake.met.wait(handshake.timeout):
+            handshake.stalls.append("the producer never met PAUSE")
+        return self.inner.feed(records)
+
+    def __getattr__(self, attr):
+        return getattr(self.inner, attr)
+
+
 def test_live_backpressure_preserves_signature():
-    """Producer and daemon run concurrently; a tiny queue plus a slow
+    """Producer and daemon run concurrently; a tiny queue plus a stalled
     checker forces the pause flag up, throttling the producer mid-run --
     and nothing about the history may change."""
-    # A workload long enough that the producer is still mid-run when the
-    # checker backlog crosses the high watermark: the event-driven queue
-    # drains the moment space appears, so the PAUSE window is only as wide
-    # as the genuine backlog -- a tiny workload could finish before any of
-    # its throttle checks lands inside it.
-    workload = {**WORKLOAD, "calls_per_thread": 40}
-    ref_sig, _ = direct_reference(seed=3, calls_per_thread=40)
-    store = ObjectStoreStub()
+    ref_sig, _ = direct_reference(seed=3)
+    # the ninth throttle check comes after 72 appends, all of them flushed
+    # in batches of 4: enough to fill the 16-record queue past its high
+    # watermark while the checker waits
+    store = _PauseHandshake("s", free_checks=8)
     manifests = {}
 
     def produce():
         manifests["m"] = produce_session(
             store, "s", PROG, seed=3, num_shards=2, batch_records=4,
-            throttle=True, throttle_every=8, run_kwargs=workload,
+            throttle=True, throttle_every=8, run_kwargs=WORKLOAD,
         )
 
     session = ServeSession(
-        store, "s", 2, checker_factory=slow_checkers(0.02),
+        store, "s", 2, checker_factory=store.checkers(),
         queue_records=16, batch_records=4, timeout=60.0,
     )
     producer = threading.Thread(target=produce)
     producer.start()
     result = session.run()
-    producer.join()
+    producer.join(60.0)
+    assert not producer.is_alive()
+    assert store.stalls == []
     assert result.ok, result.error
     assert result.signature == ref_sig
     assert result.stats["pause_raises"] >= 1

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import os
 import pickle
 
 import pytest
@@ -26,6 +27,7 @@ from repro.serve import (
     ShardTail,
     StreamMerger,
     TeeLog,
+    manifest_name,
     produce_session,
     shard_name,
 )
@@ -246,6 +248,75 @@ def test_unpicklable_replay_fails_the_producer_at_its_own_append(monkeypatch):
     assert excinfo.value.thread.name == "app-1"
     assert "'app-1'" in str(excinfo.value)
     assert type(excinfo.value.__cause__) is type(direct.value)
+
+
+def test_failed_producer_closes_its_shards(monkeypatch, tmp_path):
+    """A run that raises leaves every shard file flushed and closed, each a
+    chain-valid prefix of frames up to the failing record, and publishes
+    no manifest."""
+    payload = lambda: None  # noqa: E731 -- a value pickle cannot name
+    program = _unpicklable_replay_program(payload, [])
+    monkeypatch.setitem(PROGRAMS, program.name, program)
+    store = LocalDirectoryStore(str(tmp_path))
+    run_kwargs = {"num_threads": 2, "calls_per_thread": 4}
+    with pytest.raises(SimThreadError):
+        produce_session(store, "s", program.name, num_shards=2,
+                        batch_records=10_000, run_kwargs=run_kwargs)
+    assert not store.exists(manifest_name("s"))
+    # an in-memory log pickles nothing, so the direct run completes
+    log = list(run_program(program.name, **run_kwargs).log)
+    failed = next(
+        seq for seq, action in enumerate(log)
+        if isinstance(action, ReplayAction) and action.tag == "opaque"
+    )
+    for index in range(2):
+        expected = io.BytesIO()
+        writer = LogWriter(expected, shard_id=index)
+        for seq, action in enumerate(log[:failed]):
+            if action.tid % 2 == index:
+                writer.write(action, seq=seq)
+        report = verify_chain(store.path(shard_name("s", index)))
+        assert report.ok and report.chained and report.shard_id == index
+        assert report.records == writer.records_written > 0
+        assert report.valid_bytes == report.total_bytes
+        assert report.head_digest == writer.head_digest
+        assert store.get_bytes(shard_name("s", index)) == expected.getvalue()
+
+
+@pytest.mark.parametrize("batch_records", [64, 5])
+def test_sync_producer_fsyncs_once_per_flush_point_and_shard_close(
+        batch_records, monkeypatch, tmp_path):
+    """``sync=True`` makes every flush point an ``fsync``, and closing a
+    shard is one more: never a second flush at close."""
+    fsyncs = []
+    real_fsync = os.fsync
+
+    def counting_fsync(fd):
+        fsyncs.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    manifest = produce_session(
+        LocalDirectoryStore(str(tmp_path)), "s", "multiset-vector",
+        num_shards=2, sync=True, batch_records=batch_records,
+        run_kwargs={"num_threads": 2, "calls_per_thread": 3},
+    )
+    flush_points = sum(
+        entry["records"] // batch_records for entry in manifest["shards"]
+    )
+    assert (flush_points == 0) == (batch_records == 64)
+    assert len(fsyncs) == flush_points + 2
+
+
+def test_closed_shards_acknowledge_every_record():
+    shards = ShardSet(ObjectStoreStub(), "s", 2, batch_records=4)
+    for seq, action in enumerate(actions(11)):
+        shards.append(seq, action)
+    manifest = shards.close()
+    assert [writer.acked for writer in shards.writers] == [
+        entry["records"] for entry in manifest["shards"]
+    ]
+    assert sum(writer.acked for writer in shards.writers) == 11
 
 
 def test_tail_split_at_every_offset_keeps_payloads_and_audit():
